@@ -124,14 +124,19 @@ if command -v python3 >/dev/null; then
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$reach_dir/a/reach.json"
 fi
 
-echo "== pinned bench smoke (release)"
-# Validate the committed bench baseline's schema and fail on a >15%
-# throughput regression against BENCH_0.json, the trajectory anchor
-# (see EXPERIMENTS.md "Benchmark methodology"). The anchor — not the
-# newest BENCH_<n> — is the gate because later snapshots record
-# best-of-many runs whose sub-2 ms cells swing more than the
-# tolerance under host noise; against the anchor the optimized code
-# has enough headroom that only a real regression trips it.
-./target/release/repro bench --check BENCH_0.json
+echo "== figures jobs-invariance smoke (release)"
+# Every figure and table through one Runner and the shared worker
+# pool: the whole `repro all` JSON tree must be byte-identical at
+# --jobs 1 and --jobs 4, and free of non-finite numbers. (Host-time
+# performance is gated by benchmark/pairs.sh; see benchmark/README.md.)
+all_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$tenants_dir" "$soak_dir" "$reach_dir" "$all_dir"' EXIT
+./target/release/repro all --scale test --seed 7 --json "$all_dir/A" --jobs 1 >/dev/null
+./target/release/repro all --scale test --seed 7 --json "$all_dir/B" --jobs 4 >/dev/null
+diff -r "$all_dir/A" "$all_dir/B"
+if grep -rE 'NaN|Infinity' "$all_dir/A"; then
+    echo "repro all output contains non-finite values" >&2
+    exit 1
+fi
 
 echo "CI OK"

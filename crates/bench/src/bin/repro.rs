@@ -26,7 +26,7 @@
 
 use gvc_bench::cli::{self, CliError, CliOptions};
 use gvc_bench::figures::*;
-use gvc_bench::{assert_json_finite, perf, runner, signals, soak, trace};
+use gvc_bench::{assert_json_finite, signals, soak, trace, Runner};
 use std::fmt::Display;
 use std::time::Instant;
 
@@ -34,7 +34,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [{targets}]... \
          [trace <design> <workload>] \
-         [bench [--micro] [--check BENCH_n.json]] \
          [tenants [--tenants N] [--quantum N] [--design NAME]...] \
          [soak [--epochs N] [--epoch-cycles N] [--checkpoint-every N] [--state DIR] \
          [--kill-after N] [--fault-epoch E:K[:hang]] [--retries N] [--epoch-wall-ms N]] \
@@ -128,19 +127,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let mut runner = Runner::new();
     if let Some(jobs) = opts.jobs {
-        runner::set_jobs(Some(jobs));
+        runner.jobs = jobs.get();
     }
-    if opts.paranoid {
-        runner::set_force_paranoid(true);
-    }
-    if let Some(limit) = opts.max_cycles {
-        runner::set_max_cycles(Some(limit));
-    }
-    if let Some(rate) = opts.inject_rate {
+    runner.paranoid = opts.paranoid;
+    runner.max_cycles = opts.max_cycles;
+    runner.inject = opts.inject_rate.map(|rate| {
         let ppm = (rate * 1e6).round() as u32;
-        runner::set_force_inject(Some(gvc::InjectConfig::uniform(ppm, opts.seed)));
-    }
+        gvc::InjectConfig::uniform(ppm, opts.seed)
+    });
 
     let mut targets = opts.targets.clone();
     if targets.iter().any(|t| t == "all") {
@@ -151,24 +147,24 @@ fn main() {
             .collect();
     }
 
-    let (scale, seed, json_dir) = (opts.scale, opts.seed, opts.json_dir.clone());
+    let (r, scale, seed, json_dir) = (&runner, opts.scale, opts.seed, opts.json_dir.clone());
     for t in &targets {
         let t0 = Instant::now();
         match t.as_str() {
             "table1" => emit(t, &table1::collect(), &json_dir),
             "table2" => emit(t, &table2::collect(), &json_dir),
-            "fig2" => emit(t, &fig2::collect(scale, seed), &json_dir),
-            "fig3" => emit(t, &fig3::collect(scale, seed), &json_dir),
-            "fig4" => emit(t, &fig4::collect(scale, seed), &json_dir),
-            "fig5" => emit(t, &fig5::collect(scale, seed), &json_dir),
-            "fig8" => emit(t, &fig8::collect(scale, seed), &json_dir),
-            "fig9" => emit(t, &fig9::collect(scale, seed), &json_dir),
-            "fig10" => emit(t, &fig10::collect(scale, seed), &json_dir),
-            "fig11" => emit(t, &fig11::collect(scale, seed), &json_dir),
-            "fig12" => emit(t, &fig12::collect(scale, seed), &json_dir),
-            "ablations" => emit(t, &ablations::collect(scale, seed), &json_dir),
-            "energy" => emit(t, &energy::collect(scale, seed), &json_dir),
-            "reach" => emit(t, &reach::collect(scale, seed), &json_dir),
+            "fig2" => emit(t, &fig2::collect(r, scale, seed), &json_dir),
+            "fig3" => emit(t, &fig3::collect(r, scale, seed), &json_dir),
+            "fig4" => emit(t, &fig4::collect(r, scale, seed), &json_dir),
+            "fig5" => emit(t, &fig5::collect(r, scale, seed), &json_dir),
+            "fig8" => emit(t, &fig8::collect(r, scale, seed), &json_dir),
+            "fig9" => emit(t, &fig9::collect(r, scale, seed), &json_dir),
+            "fig10" => emit(t, &fig10::collect(r, scale, seed), &json_dir),
+            "fig11" => emit(t, &fig11::collect(r, scale, seed), &json_dir),
+            "fig12" => emit(t, &fig12::collect(r, scale, seed), &json_dir),
+            "ablations" => emit(t, &ablations::collect(r, scale, seed), &json_dir),
+            "energy" => emit(t, &energy::collect(r, scale, seed), &json_dir),
+            "reach" => emit(t, &reach::collect(r, scale, seed), &json_dir),
             _ => unreachable!("cli::parse validated targets"),
         }
         eprintln!("[{t} took {:.1?}]", t0.elapsed());
@@ -185,15 +181,11 @@ fn main() {
     }
 
     if opts.tenants {
-        run_tenants(&opts);
+        run_tenants(&opts, runner.jobs);
     }
 
     if opts.soak {
-        run_soak(&opts);
-    }
-
-    if opts.bench {
-        run_bench(&opts);
+        run_soak(&opts, runner.jobs);
     }
 }
 
@@ -201,10 +193,10 @@ fn main() {
 /// tenants × designs curves like a figure (text + `--json
 /// DIR/tenants.json`). The sweep bypasses the runner's memo cache and
 /// assembles serially, so output is byte-identical for any `--jobs`.
-fn run_tenants(opts: &CliOptions) {
+fn run_tenants(opts: &CliOptions, jobs: usize) {
     let mut spec = tenants::TenantsSpec {
         paranoid: opts.paranoid,
-        jobs: runner::jobs(),
+        jobs,
         ..tenants::TenantsSpec::default()
     };
     if let Some(n) = opts.tenant_count {
@@ -232,7 +224,7 @@ fn run_tenants(opts: &CliOptions) {
 /// like the others unless the `--kill-after` crash drill stopped the
 /// run, in which case the on-disk checkpoints are the output and the
 /// process exits with [`signals::EXIT_KILLED`].
-fn run_soak(opts: &CliOptions) {
+fn run_soak(opts: &CliOptions, jobs: usize) {
     let mut cfg = gvc_gpu::SoakConfig {
         seed: opts.seed,
         ..gvc_gpu::SoakConfig::default()
@@ -261,7 +253,7 @@ fn run_soak(opts: &CliOptions) {
         cfg,
         paranoid: opts.paranoid,
         inject_rate: opts.inject_rate,
-        jobs: runner::jobs(),
+        jobs,
         checkpoint_every: opts.checkpoint_every.unwrap_or(1),
         state_dir: opts.state_dir.clone(),
         retries: opts.soak_retries.unwrap_or(1),
@@ -313,34 +305,6 @@ fn run_soak(opts: &CliOptions) {
                 &opts.json_dir,
             );
             eprintln!("[soak took {:.1?}]", t0.elapsed());
-        }
-    }
-}
-
-/// Runs the pinned perf suite (`repro bench`): emits the report like
-/// a figure (text + `--json DIR/bench.json`) and, with `--check`,
-/// gates against a committed `BENCH_<n>.json` baseline.
-fn run_bench(opts: &CliOptions) {
-    let t0 = Instant::now();
-    let report = perf::collect(opts.micro);
-    emit("bench", &report, &opts.json_dir);
-    eprintln!("[bench took {:.1?}]", t0.elapsed());
-    if let Some(path) = &opts.bench_check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("repro: bench --check: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match perf::check(&report, &text) {
-            Ok(()) => eprintln!("bench check OK vs {path}"),
-            Err(errs) => {
-                for e in &errs {
-                    eprintln!("repro: bench check vs {path}: {e}");
-                }
-                std::process::exit(1);
-            }
         }
     }
 }

@@ -5,10 +5,9 @@
 //! Every flag is validated here with a structured [`CliError`] instead
 //! of a panic or a bare usage dump: `--jobs 0` (a zero worker pool
 //! would deadlock the sweep), out-of-range `--inject` rates (the ppm
-//! conversion would silently saturate), and `--max-cycles 0` (the
-//! runner treats 0 as "no watchdog", so accepting it would silently
-//! disarm the very protection the flag asks for) are all rejected with
-//! messages naming the flag and the offending value.
+//! conversion would silently saturate), and `--max-cycles 0` (a zero
+//! watchdog would cut every run before its first instruction) are all
+//! rejected with messages naming the flag and the offending value.
 
 use gvc_workloads::{Scale, WorkloadId};
 use std::fmt;
@@ -50,8 +49,6 @@ pub struct CliOptions {
     pub targets: Vec<String>,
     /// A `trace` subcommand, when requested.
     pub trace: Option<TraceSpec>,
-    /// A `bench` subcommand: run the pinned perf suite.
-    pub bench: bool,
     /// A `tenants` subcommand: run the multi-tenant service sweep.
     pub tenants: bool,
     /// A `soak` subcommand: run the long-horizon checkpointed soak.
@@ -85,12 +82,6 @@ pub struct CliOptions {
     /// `--epoch-wall-ms N`: per-epoch wall watchdog (validated
     /// nonzero).
     pub epoch_wall_ms: Option<u64>,
-    /// `--micro`: include component microbenchmarks in `bench`.
-    pub micro: bool,
-    /// `--check FILE`: compare the `bench` run against a committed
-    /// `BENCH_<n>.json` baseline and fail on schema errors or >15%
-    /// regression.
-    pub bench_check: Option<String>,
     /// Simulation scale (`--scale`, default paper).
     pub scale: Scale,
     /// Base seed (`--seed`, default 42).
@@ -166,7 +157,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
     let mut o = CliOptions {
         targets: Vec::new(),
         trace: None,
-        bench: false,
         tenants: false,
         soak: false,
         tenant_count: None,
@@ -180,8 +170,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
         fault: None,
         soak_retries: None,
         epoch_wall_ms: None,
-        micro: false,
-        bench_check: None,
         scale: Scale::paper(),
         seed: 42,
         json_dir: None,
@@ -248,14 +236,13 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
                 if n == 0 {
                     return Err(invalid(
                         "--max-cycles",
-                        "must be at least 1 — 0 would silently disarm the watchdog \
-                         (omit the flag for an unbounded run)",
+                        "must be at least 1 — a zero watchdog would cut every run \
+                         before its first instruction (omit the flag for an unbounded run)",
                     ));
                 }
                 o.max_cycles = Some(n);
             }
             "--help" | "-h" => return Err(CliError::Usage),
-            "bench" => o.bench = true,
             "tenants" => o.tenants = true,
             "soak" => o.soak = true,
             "--epochs" => {
@@ -351,8 +338,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
                 }
                 o.designs.push(name);
             }
-            "--micro" => o.micro = true,
-            "--check" => o.bench_check = Some(value(&mut it, "--check")?),
             "trace" => {
                 let design = value(&mut it, "trace").map_err(|_| {
                     invalid(
@@ -403,18 +388,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
             }
         }
     }
-    if o.micro && !o.bench {
-        return Err(invalid(
-            "--micro",
-            "only meaningful with the `bench` subcommand",
-        ));
-    }
-    if o.bench_check.is_some() && !o.bench {
-        return Err(invalid(
-            "--check",
-            "only meaningful with the `bench` subcommand",
-        ));
-    }
     if (o.tenant_count.is_some() || o.quantum.is_some() || !o.designs.is_empty())
         && !o.tenants
         && !o.soak
@@ -460,7 +433,7 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
             "a `hang` fault needs --epoch-wall-ms, or the watchdog can never detect it",
         ));
     }
-    if o.targets.is_empty() && o.trace.is_none() && !o.bench && !o.tenants && !o.soak {
+    if o.targets.is_empty() && o.trace.is_none() && !o.tenants && !o.soak {
         return Err(CliError::Usage);
     }
     Ok(o)

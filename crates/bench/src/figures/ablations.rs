@@ -1,7 +1,7 @@
 //! Design-choice ablations (DESIGN.md §5), beyond the paper's own
 //! figures.
 
-use crate::runner::{prefetch, run, safe_ratio, RunKey};
+use crate::runner::{safe_ratio, RunKey, Runner};
 use gvc::{LineAccess, MemorySystem, SystemConfig};
 use gvc_engine::Cycle;
 use gvc_mem::{OsLite, Perms};
@@ -31,10 +31,10 @@ pub struct Ablations {
 }
 
 /// Runs every ablation.
-pub fn collect(scale: Scale, seed: u64) -> Ablations {
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Ablations {
     let wl = WorkloadId::Pagerank;
 
-    // Prefetch every run()-based configuration below in parallel (the
+    // Prefetch every runner.run()-based configuration below in parallel (the
     // synonym sweep drives MemorySystem directly and stays serial).
     let mut configs = vec![SystemConfig::vc_with_opt()];
     for entries in [16 * 1024, 1024, 512, 256, 128] {
@@ -68,11 +68,11 @@ pub fn collect(scale: Scale, seed: u64) -> Ablations {
             seed,
         })
         .collect();
-    prefetch(&keys);
+    runner.prefetch(&keys);
 
     // 1. FBT capacity: small tables evict live pages and force
     //    invalidations (§4.3 argues 8K suffices).
-    let base16k = run(wl, SystemConfig::vc_with_opt(), scale, seed);
+    let base16k = runner.run(wl, SystemConfig::vc_with_opt(), scale, seed);
     let mut fbt_capacity = Vec::new();
     // Our scaled inputs peak near ~10^3 resident pages (the paper's
     // full-size inputs peak near 6000), so the sweep descends far
@@ -80,7 +80,7 @@ pub fn collect(scale: Scale, seed: u64) -> Ablations {
     for entries in [16 * 1024, 1024, 512, 256, 128] {
         let mut cfg = SystemConfig::vc_with_opt();
         cfg.fbt = cfg.fbt.with_entries(entries);
-        let rep = run(wl, cfg, scale, seed);
+        let rep = runner.run(wl, cfg, scale, seed);
         fbt_capacity.push((
             entries,
             safe_ratio(rep.cycles as f64, base16k.cycles as f64),
@@ -96,7 +96,7 @@ pub fn collect(scale: Scale, seed: u64) -> Ablations {
         let mut cfg = SystemConfig::vc_with_opt();
         cfg.fbt.counter_mode = counter;
         cfg.fbt = cfg.fbt.with_entries(256); // force evictions
-        let rep = run(wl, cfg, scale, seed);
+        let rep = runner.run(wl, cfg, scale, seed);
         presence_mode.push((
             if counter { "counter" } else { "bitvec" }.to_string(),
             rep.cycles,
@@ -110,7 +110,7 @@ pub fn collect(scale: Scale, seed: u64) -> Ablations {
         let mut cfg = SystemConfig::vc_with_opt();
         cfg.use_inval_filter = enabled;
         cfg.fbt = cfg.fbt.with_entries(256); // force eviction traffic
-        let rep = run(wl, cfg, scale, seed);
+        let rep = runner.run(wl, cfg, scale, seed);
         inval_filter.push((enabled, rep.cycles, rep.mem.counters.l1_flushes.get()));
     }
 
@@ -120,7 +120,7 @@ pub fn collect(scale: Scale, seed: u64) -> Ablations {
     for merged in [true, false] {
         let mut cfg = SystemConfig::baseline_512();
         cfg.merge_tlb_misses = merged;
-        let rep = run(wl, cfg, scale, seed);
+        let rep = runner.run(wl, cfg, scale, seed);
         tlb_merge.push((merged, rep.cycles, rep.mem.iommu.requests.get()));
     }
 

@@ -2,7 +2,7 @@
 //! the virtual hierarchy, using the nominal per-event model of
 //! [`gvc::EnergyModel`].
 
-use crate::runner::{keys_for, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, safe_ratio, Runner};
 use gvc::{EnergyModel, SystemConfig};
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -35,8 +35,8 @@ pub struct Energy {
 }
 
 /// Runs the comparison.
-pub fn collect(scale: Scale, seed: u64) -> Energy {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Energy {
+    runner.prefetch(&keys_for(
         &WorkloadId::all(),
         &[SystemConfig::baseline_512(), SystemConfig::vc_with_opt()],
         scale,
@@ -45,8 +45,12 @@ pub fn collect(scale: Scale, seed: u64) -> Energy {
     let model = EnergyModel::default();
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
-        let base = model.estimate(&run(id, SystemConfig::baseline_512(), scale, seed).mem);
-        let vc = model.estimate(&run(id, SystemConfig::vc_with_opt(), scale, seed).mem);
+        let base = model.estimate(
+            &runner
+                .run(id, SystemConfig::baseline_512(), scale, seed)
+                .mem,
+        );
+        let vc = model.estimate(&runner.run(id, SystemConfig::vc_with_opt(), scale, seed).mem);
         rows.push(Row {
             workload: id.name().to_string(),
             base_translation_nj: base.translation_nj(),

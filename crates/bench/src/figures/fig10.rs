@@ -2,7 +2,7 @@
 //! with large (128-entry) fully associative per-CU TLBs and a
 //! 16K-entry IOMMU TLB.
 
-use crate::runner::{keys_for, mean, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, mean, safe_ratio, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -27,8 +27,8 @@ pub struct Fig10 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig10 {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig10 {
+    runner.prefetch(&keys_for(
         &WorkloadId::high_bandwidth(),
         &[
             SystemConfig::baseline_large_per_cu_tlbs(),
@@ -40,8 +40,8 @@ pub fn collect(scale: Scale, seed: u64) -> Fig10 {
     let rows: Vec<Row> = WorkloadId::high_bandwidth()
         .into_iter()
         .map(|id| {
-            let big_tlbs = run(id, SystemConfig::baseline_large_per_cu_tlbs(), scale, seed);
-            let vc = run(id, SystemConfig::vc_with_opt(), scale, seed);
+            let big_tlbs = runner.run(id, SystemConfig::baseline_large_per_cu_tlbs(), scale, seed);
+            let vc = runner.run(id, SystemConfig::vc_with_opt(), scale, seed);
             Row {
                 workload: id.name().to_string(),
                 speedup: safe_ratio(big_tlbs.cycles as f64, vc.cycles as f64),

@@ -1,7 +1,7 @@
 //! Figure 11: L1-only virtual caches versus the whole virtual
 //! hierarchy — speedup relative to the Baseline-16K physical design.
 
-use crate::runner::{keys_for, mean, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, mean, safe_ratio, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -24,8 +24,8 @@ pub struct Fig11 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig11 {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig11 {
+    runner.prefetch(&keys_for(
         &WorkloadId::all(),
         &[
             SystemConfig::baseline_16k(),
@@ -38,18 +38,26 @@ pub fn collect(scale: Scale, seed: u64) -> Fig11 {
     ));
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
-        let base = run(id, SystemConfig::baseline_16k(), scale, seed).cycles as f64;
+        let base = runner
+            .run(id, SystemConfig::baseline_16k(), scale, seed)
+            .cycles as f64;
         let s32 = safe_ratio(
             base,
-            run(id, SystemConfig::l1_only_vc_32(), scale, seed).cycles as f64,
+            runner
+                .run(id, SystemConfig::l1_only_vc_32(), scale, seed)
+                .cycles as f64,
         );
         let s128 = safe_ratio(
             base,
-            run(id, SystemConfig::l1_only_vc_128(), scale, seed).cycles as f64,
+            runner
+                .run(id, SystemConfig::l1_only_vc_128(), scale, seed)
+                .cycles as f64,
         );
         let sfull = safe_ratio(
             base,
-            run(id, SystemConfig::vc_with_opt(), scale, seed).cycles as f64,
+            runner
+                .run(id, SystemConfig::vc_with_opt(), scale, seed)
+                .cycles as f64,
         );
         rows.push((id.name().to_string(), s32, s128, sfull));
     }

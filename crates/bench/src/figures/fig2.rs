@@ -1,7 +1,7 @@
 //! Figure 2: per-CU TLB miss ratio by TLB size, broken down by where
 //! the missing access's data resides (L1 / L2 / memory).
 
-use crate::runner::{keys_for, mean, prefetch, run};
+use crate::runner::{keys_for, mean, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -40,12 +40,12 @@ pub struct Fig2 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig2 {
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig2 {
     let configs: Vec<SystemConfig> = TLB_SIZES
         .iter()
         .map(|&e| SystemConfig::baseline_infinite_bandwidth().with_per_cu_tlb_entries(e))
         .collect();
-    prefetch(&keys_for(&WorkloadId::all(), &configs, scale, seed));
+    runner.prefetch(&keys_for(&WorkloadId::all(), &configs, scale, seed));
     let mut rows = Vec::new();
     let mut filt32 = Vec::new();
     let mut filt128 = Vec::new();
@@ -54,7 +54,7 @@ pub fn collect(scale: Scale, seed: u64) -> Fig2 {
             // Infinite IOMMU bandwidth isolates miss behaviour from
             // serialization, as in the paper's measurement.
             let cfg = SystemConfig::baseline_infinite_bandwidth().with_per_cu_tlb_entries(entries);
-            let rep = run(id, cfg, scale, seed);
+            let rep = runner.run(id, cfg, scale, seed);
             let ratio = rep.mem.tlb_miss_ratio();
             let (l1, l2, mem_frac) = rep.mem.tlb_miss_breakdown();
             rows.push(Row {

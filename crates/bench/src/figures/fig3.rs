@@ -1,7 +1,7 @@
 //! Figure 3: IOMMU TLB accesses per cycle (mean ± σ and max over 1 µs
 //! samples) with 32-entry per-CU TLBs and unlimited IOMMU bandwidth.
 
-use crate::runner::{keys_for, prefetch, run};
+use crate::runner::{keys_for, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{BandwidthClass, Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -30,8 +30,8 @@ pub struct Fig3 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig3 {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig3 {
+    runner.prefetch(&keys_for(
         &WorkloadId::all(),
         &[SystemConfig::baseline_infinite_bandwidth()],
         scale,
@@ -40,7 +40,7 @@ pub fn collect(scale: Scale, seed: u64) -> Fig3 {
     let mut rows: Vec<Row> = WorkloadId::all()
         .into_iter()
         .map(|id| {
-            let rep = run(id, SystemConfig::baseline_infinite_bandwidth(), scale, seed);
+            let rep = runner.run(id, SystemConfig::baseline_infinite_bandwidth(), scale, seed);
             Row {
                 workload: id.name().to_string(),
                 mean: rep.mem.iommu_rate.mean_per_cycle(),

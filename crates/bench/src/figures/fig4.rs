@@ -3,7 +3,7 @@
 //! against the IDEAL MMU, split into serialization and page-walk
 //! components.
 
-use crate::runner::{keys_for, mean, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, mean, safe_ratio, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -37,8 +37,8 @@ pub struct Fig4 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig4 {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig4 {
+    runner.prefetch(&keys_for(
         &WorkloadId::all(),
         &[
             SystemConfig::ideal_mmu(),
@@ -50,13 +50,19 @@ pub fn collect(scale: Scale, seed: u64) -> Fig4 {
     ));
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
-        let ideal = run(id, SystemConfig::ideal_mmu(), scale, seed).cycles as f64;
+        let ideal = runner
+            .run(id, SystemConfig::ideal_mmu(), scale, seed)
+            .cycles as f64;
         let small = safe_ratio(
-            run(id, SystemConfig::baseline_512(), scale, seed).cycles as f64,
+            runner
+                .run(id, SystemConfig::baseline_512(), scale, seed)
+                .cycles as f64,
             ideal,
         );
         let large = safe_ratio(
-            run(id, SystemConfig::baseline_16k(), scale, seed).cycles as f64,
+            runner
+                .run(id, SystemConfig::baseline_16k(), scale, seed)
+                .cycles as f64,
             ideal,
         );
         rows.push(Row {

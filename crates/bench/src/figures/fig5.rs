@@ -2,7 +2,7 @@
 //! workloads as the IOMMU TLB's peak bandwidth sweeps 1–4 accesses per
 //! cycle (16K-entry TLB isolates the bandwidth effect).
 
-use crate::runner::{keys_for, mean, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, mean, safe_ratio, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -27,14 +27,18 @@ pub struct Fig5 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig5 {
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig5 {
     let ids = WorkloadId::high_bandwidth();
     let mut configs = vec![SystemConfig::ideal_mmu()];
     configs.extend((1..=4u32).map(|bw| SystemConfig::baseline_16k().with_iommu_port_width(bw)));
-    prefetch(&keys_for(&ids, &configs, scale, seed));
+    runner.prefetch(&keys_for(&ids, &configs, scale, seed));
     let ideal: Vec<f64> = ids
         .iter()
-        .map(|&id| run(id, SystemConfig::ideal_mmu(), scale, seed).cycles as f64)
+        .map(|&id| {
+            runner
+                .run(id, SystemConfig::ideal_mmu(), scale, seed)
+                .cycles as f64
+        })
         .collect();
     let mut points = Vec::new();
     for bw in 1..=4u32 {
@@ -43,7 +47,7 @@ pub fn collect(scale: Scale, seed: u64) -> Fig5 {
             .zip(&ideal)
             .map(|(&id, &base)| {
                 let cfg = SystemConfig::baseline_16k().with_iommu_port_width(bw);
-                safe_ratio(run(id, cfg, scale, seed).cycles as f64, base)
+                safe_ratio(runner.run(id, cfg, scale, seed).cycles as f64, base)
             })
             .collect();
         let relative_time = mean(&rel);

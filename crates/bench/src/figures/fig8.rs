@@ -1,7 +1,7 @@
 //! Figure 8: the virtual cache hierarchy as a bandwidth filter —
 //! shared IOMMU TLB accesses per cycle, baseline vs proposal.
 
-use crate::runner::{keys_for, mean, prefetch, run};
+use crate::runner::{keys_for, mean, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -36,8 +36,8 @@ pub struct Fig8 {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig8 {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig8 {
+    runner.prefetch(&keys_for(
         &WorkloadId::all(),
         &[
             SystemConfig::baseline_infinite_bandwidth(),
@@ -48,8 +48,8 @@ pub fn collect(scale: Scale, seed: u64) -> Fig8 {
     ));
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
-        let base = run(id, SystemConfig::baseline_infinite_bandwidth(), scale, seed);
-        let vc = run(id, SystemConfig::vc_with_opt(), scale, seed);
+        let base = runner.run(id, SystemConfig::baseline_infinite_bandwidth(), scale, seed);
+        let vc = runner.run(id, SystemConfig::vc_with_opt(), scale, seed);
         rows.push(Row {
             workload: id.name().to_string(),
             baseline: base.mem.iommu_rate.mean_per_cycle(),

@@ -2,7 +2,7 @@
 //! relative to the IDEAL MMU under the four Table 2 designs, plus the
 //! all-workload average and the §4.1 FBT second-level hit statistic.
 
-use crate::runner::{keys_for, mean, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, mean, safe_ratio, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -38,8 +38,15 @@ pub struct Fig9 {
     pub fbt_second_level_hit_ratio: f64,
 }
 
-fn perf(id: WorkloadId, cfg: SystemConfig, ideal: f64, scale: Scale, seed: u64) -> f64 {
-    safe_ratio(ideal, run(id, cfg, scale, seed).cycles as f64)
+fn perf(
+    runner: &Runner,
+    id: WorkloadId,
+    cfg: SystemConfig,
+    ideal: f64,
+    scale: Scale,
+    seed: u64,
+) -> f64 {
+    safe_ratio(ideal, runner.run(id, cfg, scale, seed).cycles as f64)
 }
 
 fn avg_row(name: &str, rows: &[Row]) -> Row {
@@ -53,8 +60,8 @@ fn avg_row(name: &str, rows: &[Row]) -> Row {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Fig9 {
-    prefetch(&keys_for(
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig9 {
+    runner.prefetch(&keys_for(
         &WorkloadId::all(),
         &[
             SystemConfig::ideal_mmu(),
@@ -69,16 +76,25 @@ pub fn collect(scale: Scale, seed: u64) -> Fig9 {
     let mut all_rows = Vec::new();
     let mut fbt_ratios = Vec::new();
     for id in WorkloadId::all() {
-        let ideal = run(id, SystemConfig::ideal_mmu(), scale, seed).cycles as f64;
-        let vc_opt = run(id, SystemConfig::vc_with_opt(), scale, seed);
+        let ideal = runner
+            .run(id, SystemConfig::ideal_mmu(), scale, seed)
+            .cycles as f64;
+        let vc_opt = runner.run(id, SystemConfig::vc_with_opt(), scale, seed);
         fbt_ratios.push(vc_opt.mem.fbt_second_level_hit_ratio());
         all_rows.push((
             id,
             Row {
                 workload: id.name().to_string(),
-                baseline_512: perf(id, SystemConfig::baseline_512(), ideal, scale, seed),
-                baseline_16k: perf(id, SystemConfig::baseline_16k(), ideal, scale, seed),
-                vc_without_opt: perf(id, SystemConfig::vc_without_opt(), ideal, scale, seed),
+                baseline_512: perf(runner, id, SystemConfig::baseline_512(), ideal, scale, seed),
+                baseline_16k: perf(runner, id, SystemConfig::baseline_16k(), ideal, scale, seed),
+                vc_without_opt: perf(
+                    runner,
+                    id,
+                    SystemConfig::vc_without_opt(),
+                    ideal,
+                    scale,
+                    seed,
+                ),
                 vc_with_opt: safe_ratio(ideal, vc_opt.cycles as f64),
             },
         ));

@@ -11,7 +11,7 @@
 //! ([`SystemConfig::vc_with_opt`]), and the composed designs, all
 //! normalized to the IDEAL MMU.
 
-use crate::runner::{keys_for, mean, prefetch, run, safe_ratio};
+use crate::runner::{keys_for, mean, safe_ratio, Runner};
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
 use serde::{Deserialize, Serialize};
@@ -91,19 +91,22 @@ fn ideal_thp() -> SystemConfig {
 }
 
 /// Runs the experiment.
-pub fn collect(scale: Scale, seed: u64) -> Reach {
+pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Reach {
     let mut cfgs = vec![SystemConfig::ideal_mmu(), ideal_thp()];
     cfgs.extend(designs());
-    prefetch(&keys_for(&WorkloadId::all(), &cfgs, scale, seed));
+    runner.prefetch(&keys_for(&WorkloadId::all(), &cfgs, scale, seed));
     let [base, huge, coalesced, vc, vc_huge, vc_coalesced] = designs();
     let mut rows = Vec::new();
     let mut reach_shares = Vec::new();
     let mut filter_ratios = Vec::new();
     for id in WorkloadId::all() {
-        let ideal = run(id, SystemConfig::ideal_mmu(), scale, seed).cycles as f64;
-        let ideal_2m = run(id, ideal_thp(), scale, seed).cycles as f64;
-        let perf = |cfg: SystemConfig| safe_ratio(ideal, run(id, cfg, scale, seed).cycles as f64);
-        let huge_rep = run(id, huge, scale, seed);
+        let ideal = runner
+            .run(id, SystemConfig::ideal_mmu(), scale, seed)
+            .cycles as f64;
+        let ideal_2m = runner.run(id, ideal_thp(), scale, seed).cycles as f64;
+        let perf =
+            |cfg: SystemConfig| safe_ratio(ideal, runner.run(id, cfg, scale, seed).cycles as f64);
+        let huge_rep = runner.run(id, huge, scale, seed);
         let hr = huge_rep
             .mem
             .iommu_tlb_reach
@@ -115,14 +118,14 @@ pub fn collect(scale: Scale, seed: u64) -> Reach {
         } else {
             hr.hits.get() as f64 / hits as f64
         });
-        filter_ratios.push(run(id, vc_huge, scale, seed).mem.filter_ratio());
+        filter_ratios.push(runner.run(id, vc_huge, scale, seed).mem.filter_ratio());
         rows.push(Row {
             workload: id.name().to_string(),
             baseline: perf(base),
             huge: safe_ratio(ideal_2m, huge_rep.cycles as f64),
             coalesced: perf(coalesced),
             vc: perf(vc),
-            vc_huge: safe_ratio(ideal_2m, run(id, vc_huge, scale, seed).cycles as f64),
+            vc_huge: safe_ratio(ideal_2m, runner.run(id, vc_huge, scale, seed).cycles as f64),
             vc_coalesced: perf(vc_coalesced),
         });
     }

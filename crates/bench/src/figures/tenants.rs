@@ -9,19 +9,17 @@
 //! independent [`run_service`] simulation, fully determined by
 //! `(tenants, design, quantum, scale, seed)`.
 //!
-//! Cells are computed by a worker pool that claims indices off an
-//! atomic counter, but the figure is assembled *serially* in cell-index
-//! order afterwards, so output is byte-identical for any `--jobs`
+//! Cells are computed on [`par_map_ordered`], which returns them in
+//! cell-index order, so output is byte-identical for any `--jobs`
 //! value. The sweep deliberately bypasses the runner's memo cache
 //! (service runs are not keyed by `RunKey` and must never collide with
 //! the figure sweeps).
 
+use crate::runner::par_map_ordered;
 use gvc_gpu::service::{run_service, ServiceConfig, ServiceReport};
 use gvc_workloads::Scale;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Default tenant counts for the sweep (the acceptance curve tops out
 /// at 256 live ASIDs).
@@ -108,54 +106,25 @@ pub fn collect(spec: &TenantsSpec, scale: Scale, seed: u64) -> Tenants {
         .iter()
         .flat_map(|&n| spec.designs.iter().map(move |d| (n, d.clone())))
         .collect();
-    let compute = |&(n, ref design): &(usize, String)| -> ServiceReport {
+    // A SIGINT/SIGTERM stops the sweep at a cell boundary: cells not
+    // yet started come back `None`, and the cells before the first
+    // skipped one become a partial figure (cell-for-cell identical to
+    // an uninterrupted sweep).
+    let results = par_map_ordered(spec.jobs, &cells, |(n, design)| {
+        if crate::signals::triggered() {
+            return None;
+        }
         let mut sys = crate::trace::design_by_name(design)
             .unwrap_or_else(|| panic!("unknown design {design:?} (validated at the CLI)"));
         if spec.paranoid {
             sys = sys.with_paranoid();
         }
-        run_service(&cell_config(n, spec.quantum, scale, seed), sys)
-    };
-
-    let workers = spec.jobs.max(1).min(cells.len().max(1));
-    let results: Vec<Mutex<Option<ServiceReport>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
-    if workers <= 1 {
-        for (cell, slot) in cells.iter().zip(&results) {
-            // A SIGINT/SIGTERM between cells ends the sweep at a cell
-            // boundary; the completed prefix becomes a partial figure.
-            if crate::signals::triggered() {
-                break;
-            }
-            *slot.lock().expect("no worker panicked") = Some(compute(cell));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let (cells, results, next) = (&cells, &results, &next);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    if crate::signals::triggered() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let report = compute(cell);
-                    *results[i].lock().expect("no worker panicked") = Some(report);
-                });
-            }
-        });
-    }
-    // Serial assembly in cell-index order: byte-identical for any
-    // worker count. Claims are monotonic and in-flight cells always
-    // finish, so the computed set is a prefix of the cell list.
-    let mut done = Vec::new();
-    for slot in results {
-        match slot.into_inner().expect("no worker panicked") {
-            Some(report) => done.push(report),
-            None => break,
-        }
-    }
+        Some(run_service(
+            &cell_config(*n, spec.quantum, scale, seed),
+            sys,
+        ))
+    });
+    let done: Vec<ServiceReport> = results.into_iter().map_while(|r| r).collect();
     Tenants {
         quantum: spec.quantum,
         seed,

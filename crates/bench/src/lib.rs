@@ -4,18 +4,18 @@
 //! Each figure module produces a serializable data structure plus a
 //! text rendering that mirrors the paper's presentation. The `repro`
 //! binary drives them (`cargo run --release -p gvc-bench --bin repro
-//! -- all`); the Criterion benches exercise the same code paths at
-//! test scale.
+//! -- all`) through one [`Runner`], which carries the command line's
+//! run settings and the memo cache. Host-time performance is measured
+//! by the separate `benchmark/` package (see `BENCHMARK.json`).
 
 pub mod cli;
 pub mod figures;
-pub mod perf;
 pub mod runner;
 pub mod signals;
 pub mod soak;
 pub mod trace;
 
-pub use runner::{run, RunKey};
+pub use runner::{RunKey, Runner};
 
 /// Panics if any number in the JSON tree under `v` is non-finite,
 /// naming the `$`-rooted path of the offender. The vendored

@@ -1,28 +1,29 @@
-//! Shared run machinery: memoization plus a parallel sweep executor.
+//! Shared run machinery: a [`Runner`] holding the memo cache and the
+//! run settings, plus the one worker pool ([`par_map_ordered`]) every
+//! parallel sweep in this crate goes through.
 //!
 //! Several figures reuse the same (workload, design) runs — Figure 4's
-//! baselines are Figure 9's baselines, for example. A process-wide
-//! cache keyed by the run's full configuration avoids recomputing
-//! them within one `repro` invocation.
+//! baselines are Figure 9's baselines, for example. A runner's cache,
+//! keyed by the run's full configuration, avoids recomputing them
+//! within one `repro` invocation.
 //!
 //! Every run in a figure is independent of every other (workload
 //! construction and simulation are deterministic in the key alone), so
-//! figures first [`prefetch`] their full run set through the
-//! [`ParallelExecutor`], then assemble output from the warm cache on
-//! one thread. Output is therefore byte-identical regardless of the
-//! worker count: parallelism only changes *when* a report is computed,
-//! never *which* report a key maps to, and the serial assembly loop
-//! fixes the output order.
+//! figures first [`Runner::prefetch`] their full run set over the
+//! worker pool, then assemble output from the warm cache on one
+//! thread. Output is therefore byte-identical regardless of the worker
+//! count: parallelism only changes *when* a report is computed, never
+//! *which* report a key maps to, and the serial assembly loop fixes the
+//! output order.
 //!
 //! The runner is hardened against individual runs going bad:
 //!
-//! * a worker that panics is isolated ([`std::panic::catch_unwind`]),
-//!   retried a bounded number of times, and finally reported as a
+//! * a run that panics is isolated ([`std::panic::catch_unwind`]),
+//!   retried once after a seeded backoff, and finally reported as a
 //!   structured [`RunError::Panicked`] instead of aborting the sweep
-//!   (use [`ParallelExecutor::sweep`] / [`try_run`]);
-//! * a run that trips a watchdog ([`set_max_cycles`] /
-//!   [`set_wall_budget_ms`]) surfaces as [`RunError::Timeout`]
-//!   carrying its partial stats;
+//!   (use [`Runner::sweep`] / [`Runner::try_run`]);
+//! * a run that trips the cycle watchdog ([`Runner::max_cycles`])
+//!   surfaces as [`RunError::Timeout`] carrying its partial stats;
 //! * a memo-cache shard poisoned by a panicking worker is recovered on
 //!   the next touch — the possibly-torn entry is evicted and the
 //!   poison flag cleared — so one bad run can't wedge the cache for
@@ -31,106 +32,19 @@
 use gvc::{InjectConfig, SystemConfig};
 use gvc_gpu::{GpuConfig, GpuSim, RunReport, Truncation};
 use gvc_workloads::{Scale, WorkloadId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
-
-/// Whether [`run`] memoizes results (default). The Criterion benches
-/// disable it so every iteration measures real simulation work.
-static MEMOIZE: AtomicBool = AtomicBool::new(true);
-
-/// Worker-thread count used by [`prefetch`]; 0 = use
-/// [`std::thread::available_parallelism`].
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// When set, every computed run gets [`SystemConfig::with_paranoid`]
-/// applied (`repro --paranoid`). Applied at [`compute`] so the figure
-/// collectors stay untouched; the checker is a pure observer, so
-/// reports are identical either way — runs just abort on any invariant
-/// violation.
-static FORCE_PARANOID: AtomicBool = AtomicBool::new(false);
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 /// Times a panicking run is retried before it is reported as
 /// [`RunError::Panicked`]. Simulation is deterministic, so a panic
 /// normally reproduces — the retry only buys anything against
-/// host-side transients — hence a small default.
-static MAX_RETRIES: AtomicUsize = AtomicUsize::new(1);
-
-/// Watchdog: simulated-cycle budget per run (0 = unlimited). See
-/// [`set_max_cycles`].
-static MAX_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Watchdog: wall-clock budget per run in milliseconds (0 =
-/// unlimited). See [`set_wall_budget_ms`].
-static WALL_BUDGET_MS: AtomicU64 = AtomicU64::new(0);
-
-/// When set, every computed run whose key carries no injection config
-/// of its own gets this one (`repro --inject`). Like
-/// [`FORCE_PARANOID`], applied at [`compute`] so figure collectors
-/// stay untouched.
-static FORCE_INJECT: RwLock<Option<InjectConfig>> = RwLock::new(None);
-
-/// Forces paranoid invariant checking onto every run (see
-/// [`FORCE_PARANOID`]). Flip this before any run is computed: memoized
-/// reports are keyed by the *pre-force* config and are not recomputed.
-pub fn set_force_paranoid(enabled: bool) {
-    FORCE_PARANOID.store(enabled, Ordering::SeqCst);
-}
-
-/// Sets how many times a panicking run is retried before the panic is
-/// reported as a structured [`RunError::Panicked`].
-pub fn set_max_retries(retries: usize) {
-    MAX_RETRIES.store(retries, Ordering::SeqCst);
-}
-
-/// Caps every computed run at `limit` simulated cycles (`None` or
-/// `Some(0)` lifts the cap). A capped run comes back as
-/// [`RunError::Timeout`] with partial stats. Like
-/// [`set_force_paranoid`], set this before any run is computed:
-/// memoized reports are not re-cut.
-pub fn set_max_cycles(limit: Option<u64>) {
-    MAX_CYCLES.store(limit.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// Gives every computed run a wall-clock budget in milliseconds
-/// (`None`/`Some(0)` = unlimited). The cut point depends on host
-/// speed, so never combine this with byte-reproducibility claims; use
-/// [`set_max_cycles`] for deterministic cuts.
-pub fn set_wall_budget_ms(budget: Option<u64>) {
-    WALL_BUDGET_MS.store(budget.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// Arms deterministic fault injection on every computed run that does
-/// not already carry an [`InjectConfig`] in its key. Set before any
-/// run is computed (memoized reports are keyed by the pre-force
-/// config, exactly as with [`set_force_paranoid`]).
-pub fn set_force_inject(cfg: Option<InjectConfig>) {
-    *FORCE_INJECT.write().unwrap_or_else(PoisonError::into_inner) = cfg;
-}
-
-/// Enables or disables run memoization (see [`run`]).
-pub fn set_memoization(enabled: bool) {
-    MEMOIZE.store(enabled, Ordering::SeqCst);
-}
-
-/// Sets the worker count for [`prefetch`]. `None` restores the
-/// default (one worker per available core).
-pub fn set_jobs(jobs: Option<NonZeroUsize>) {
-    JOBS.store(jobs.map_or(0, NonZeroUsize::get), Ordering::SeqCst);
-}
-
-/// The effective worker count: the last [`set_jobs`] value, or the
-/// host's available parallelism.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-        n => n,
-    }
-}
+/// host-side transients.
+const MAX_RETRIES: u32 = 1;
 
 /// `num / den`, but 0.0 when the denominator is zero (or non-finite)
 /// instead of NaN/inf. Figure builders divide by cycle counts that a
@@ -160,13 +74,17 @@ pub struct RunKey {
     pub seed: u64,
 }
 
+/// A run's cached outcome: a report (complete or watchdog-truncated),
+/// or the panic that every attempt ended in.
+type Outcome = Result<RunReport, RunError>;
+
 /// Shard count for the memo cache. A small power of two: enough that
 /// a full-width sweep rarely contends on one lock, cheap to scan when
 /// clearing.
 const SHARDS: usize = 16;
 
 struct ShardedCache {
-    shards: [RwLock<HashMap<RunKey, RunReport>>; SHARDS],
+    shards: [RwLock<HashMap<RunKey, Outcome>>; SHARDS],
 }
 
 impl ShardedCache {
@@ -176,13 +94,13 @@ impl ShardedCache {
         }
     }
 
-    fn shard(&self, key: &RunKey) -> &RwLock<HashMap<RunKey, RunReport>> {
+    fn shard(&self, key: &RunKey) -> &RwLock<HashMap<RunKey, Outcome>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    fn get(&self, key: &RunKey) -> Option<RunReport> {
+    fn get(&self, key: &RunKey) -> Option<Outcome> {
         let lock = self.shard(key);
         if let Ok(shard) = lock.read() {
             return shard.get(key).cloned();
@@ -200,11 +118,11 @@ impl ShardedCache {
         None
     }
 
-    fn insert(&self, key: RunKey, report: RunReport) {
+    fn insert(&self, key: RunKey, outcome: Outcome) {
         let lock = self.shard(&key);
         let mut shard = lock.write().unwrap_or_else(PoisonError::into_inner);
         lock.clear_poison();
-        shard.insert(key, report);
+        shard.insert(key, outcome);
     }
 
     fn clear(&self) {
@@ -222,69 +140,6 @@ impl ShardedCache {
     }
 }
 
-fn cache() -> &'static ShardedCache {
-    static CACHE: OnceLock<ShardedCache> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::new)
-}
-
-/// Empties the memo cache. Tests use this to force recomputation
-/// between phases; `repro` never needs it.
-pub fn clear_cache() {
-    cache().clear();
-}
-
-/// Number of memoized reports currently held.
-pub fn cache_len() -> usize {
-    cache().len()
-}
-
-/// The memory-system config actually simulated for `key`: the key's
-/// own config plus whatever [`set_force_paranoid`] /
-/// [`set_force_inject`] add on top.
-fn effective_config(key: &RunKey) -> SystemConfig {
-    let mut config = key.config;
-    if FORCE_PARANOID.load(Ordering::SeqCst) {
-        config = config.with_paranoid();
-    }
-    if config.inject.is_none() {
-        if let Some(ic) = *FORCE_INJECT.read().unwrap_or_else(PoisonError::into_inner) {
-            config = config.with_inject(ic);
-        }
-    }
-    config
-}
-
-/// The GPU front-end config for computed runs: defaults plus the
-/// process-wide watchdog budgets.
-fn gpu_config() -> GpuConfig {
-    let mut gpu = GpuConfig::default();
-    match MAX_CYCLES.load(Ordering::SeqCst) {
-        0 => {}
-        limit => gpu.max_cycles = Some(limit),
-    }
-    match WALL_BUDGET_MS.load(Ordering::SeqCst) {
-        0 => {}
-        budget => gpu.wall_budget_ms = Some(budget),
-    }
-    gpu
-}
-
-/// Computes one report from scratch. Deterministic in the key alone
-/// (given fixed process-wide force/watchdog settings).
-fn compute(key: &RunKey) -> RunReport {
-    let cfg = effective_config(key);
-    // The THP placement policy changes the virtual layout, so it must
-    // be decided at build time; non-THP configs keep the historical
-    // layout byte-for-byte.
-    let mut w = gvc_workloads::build_thp(
-        key.workload,
-        key.scale,
-        key.seed,
-        cfg.transparent_huge_pages,
-    );
-    GpuSim::new(gpu_config(), cfg).run(&mut *w.source, &mut w.os)
-}
-
 /// Why a run could not produce a full report. `Clone` so a sweep can
 /// hand the same failure to every duplicate of a key.
 #[derive(Debug, Clone)]
@@ -294,12 +149,12 @@ pub enum RunError {
     Panicked {
         /// The last attempt's panic message.
         message: String,
-        /// Attempts made (1 + configured retries).
+        /// Attempts made (1 + the retry budget).
         attempts: u32,
-        /// The retry budget that was in force ([`set_max_retries`]).
+        /// The retry budget that was in force.
         retry_budget: u32,
         /// Total deterministic backoff slept between attempts, in
-        /// milliseconds (see [`retry_backoff_ms`]).
+        /// milliseconds (see [`seeded_backoff_ms`]).
         backoff_ms: u64,
     },
     /// A watchdog cut the run; `partial` holds everything simulated up
@@ -348,7 +203,7 @@ impl fmt::Display for RunError {
 
 /// Renders a `catch_unwind` payload as text (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -359,44 +214,295 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Deterministic seeded backoff before retry `attempt` (1-based) of a
-/// failed run: exponential base `4ms << (attempt-1)` capped at 256 ms,
-/// jittered into `[base/2, 3·base/2)` by an RNG seeded from the run
-/// key and attempt number. Same key + attempt → same delay, so a retry
-/// schedule is replayable; different keys decorrelate, so a sweep full
-/// of simultaneous failures does not retry in lockstep.
-pub fn retry_backoff_ms(key: &RunKey, attempt: u32) -> u64 {
+/// failed unit of work identified by `id`: exponential base
+/// `4ms << (attempt-1)` capped at 256 ms, jittered into
+/// `[base/2, 3·base/2)` by an RNG seeded from `id` and the attempt
+/// number. Same id + attempt → same delay, so a retry schedule is
+/// replayable; different ids decorrelate, so a sweep full of
+/// simultaneous failures does not retry in lockstep.
+pub fn seeded_backoff_ms(id: &impl Hash, attempt: u32) -> u64 {
     let base = (4u64 << attempt.saturating_sub(1).min(6)).min(256);
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
+    id.hash(&mut h);
     let mut rng = gvc_engine::SimRng::seeded(h.finish() ^ u64::from(attempt));
     rng.range(base / 2, base + base / 2)
 }
 
-/// [`compute`] with panic isolation and bounded retry. Retries are
-/// spaced by [`retry_backoff_ms`] — back-to-back retries of a
-/// host-transient failure tend to refail into the same condition.
-fn compute_caught(key: &RunKey) -> Result<RunReport, RunError> {
-    let retry_budget = MAX_RETRIES.load(Ordering::SeqCst) as u32;
-    let attempts = retry_budget + 1;
-    let mut message = String::new();
-    let mut backoff_ms = 0u64;
-    for attempt in 1..=attempts {
-        if attempt > 1 {
-            let delay = retry_backoff_ms(key, attempt - 1);
-            backoff_ms += delay;
-            std::thread::sleep(std::time::Duration::from_millis(delay));
-        }
-        match catch_unwind(AssertUnwindSafe(|| compute(key))) {
-            Ok(report) => return Ok(report),
-            Err(payload) => message = panic_message(payload.as_ref()),
+/// Maps `f` over `items` on up to `jobs` scoped worker threads and
+/// returns the results in input order.
+///
+/// Workers claim items through a shared atomic index, so scheduling is
+/// dynamic (long items don't serialize behind short ones) while the
+/// result order is fixed by the input. With `jobs <= 1` (or at most one
+/// item) everything runs on the calling thread. A panic in `f`
+/// propagates to the caller once every worker has stopped; callers
+/// that need isolation catch inside `f`.
+pub fn par_map_ordered<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = jobs.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item was claimed"))
+        .collect()
+}
+
+/// One run context: the settings `repro`'s flags choose, and the memo
+/// cache the runs computed under them fill.
+///
+/// The settings apply when a run is computed, so the figure collectors
+/// stay untouched; they are not part of [`RunKey`], so change them
+/// only before the first run — cached reports are not recomputed.
+pub struct Runner {
+    /// Worker threads for [`Runner::prefetch`] and [`Runner::sweep`]
+    /// (`repro --jobs`). Defaults to the host's available parallelism.
+    pub jobs: usize,
+    /// Run every simulation under [`SystemConfig::with_paranoid`]
+    /// (`repro --paranoid`). The checker is a pure observer, so
+    /// reports are identical either way — runs just abort on any
+    /// invariant violation.
+    pub paranoid: bool,
+    /// Fault injection for every run whose key carries no
+    /// [`InjectConfig`] of its own (`repro --inject`).
+    pub inject: Option<InjectConfig>,
+    /// Simulated-cycle watchdog per run (`repro --max-cycles`). A cut
+    /// run comes back as [`RunError::Timeout`] from [`Runner::try_run`]
+    /// and as its partial report from [`Runner::run`]; under a fixed
+    /// budget the cut is deterministic in the key.
+    pub max_cycles: Option<u64>,
+    cache: ShardedCache,
+}
+
+impl Default for Runner {
+    fn default() -> Self {
+        Runner {
+            jobs: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            paranoid: false,
+            inject: None,
+            max_cycles: None,
+            cache: ShardedCache::new(),
         }
     }
-    Err(RunError::Panicked {
-        message,
-        attempts,
-        retry_budget,
-        backoff_ms,
-    })
+}
+
+impl Runner {
+    /// A runner with default settings and an empty cache.
+    pub fn new() -> Self {
+        Runner::default()
+    }
+
+    /// A runner with default settings and `jobs` workers.
+    pub fn with_jobs(jobs: usize) -> Self {
+        Runner {
+            jobs,
+            ..Runner::default()
+        }
+    }
+
+    /// Empties the memo cache.
+    pub fn clear(&self) {
+        self.cache.clear();
+    }
+
+    /// Number of memoized outcomes currently held.
+    pub fn cache_len(&self) -> usize {
+        self.cache.len()
+    }
+
+    /// The memory-system config actually simulated for `key`: the key's
+    /// own config plus whatever [`Runner::paranoid`] /
+    /// [`Runner::inject`] add on top.
+    fn effective_config(&self, key: &RunKey) -> SystemConfig {
+        let mut config = key.config;
+        if self.paranoid {
+            config = config.with_paranoid();
+        }
+        if config.inject.is_none() {
+            if let Some(ic) = self.inject {
+                config = config.with_inject(ic);
+            }
+        }
+        config
+    }
+
+    /// Computes one report from scratch. Deterministic in the key and
+    /// the runner's settings.
+    fn compute(&self, key: &RunKey) -> RunReport {
+        let cfg = self.effective_config(key);
+        let gpu = GpuConfig {
+            max_cycles: self.max_cycles,
+            ..GpuConfig::default()
+        };
+        // The THP placement policy changes the virtual layout, so it must
+        // be decided at build time; non-THP configs keep the historical
+        // layout byte-for-byte.
+        let mut w = gvc_workloads::build_thp(
+            key.workload,
+            key.scale,
+            key.seed,
+            cfg.transparent_huge_pages,
+        );
+        GpuSim::new(gpu, cfg).run(&mut *w.source, &mut w.os)
+    }
+
+    /// [`Runner::compute`] with panic isolation and bounded retry.
+    /// Retries are spaced by [`seeded_backoff_ms`] — back-to-back
+    /// retries of a host-transient failure tend to refail into the same
+    /// condition.
+    fn compute_caught(&self, key: &RunKey) -> Outcome {
+        let attempts = MAX_RETRIES + 1;
+        let mut message = String::new();
+        let mut backoff_ms = 0u64;
+        for attempt in 1..=attempts {
+            if attempt > 1 {
+                let delay = seeded_backoff_ms(key, attempt - 1);
+                backoff_ms += delay;
+                std::thread::sleep(std::time::Duration::from_millis(delay));
+            }
+            match catch_unwind(AssertUnwindSafe(|| self.compute(key))) {
+                Ok(report) => return Ok(report),
+                Err(payload) => message = panic_message(payload.as_ref()),
+            }
+        }
+        Err(RunError::Panicked {
+            message,
+            attempts,
+            retry_budget: MAX_RETRIES,
+            backoff_ms,
+        })
+    }
+
+    /// The cached outcome for `key`, computing (and caching) it on a
+    /// miss. A truncated report is an `Ok` here.
+    fn outcome(&self, key: &RunKey) -> Outcome {
+        if let Some(outcome) = self.cache.get(key) {
+            return outcome;
+        }
+        let outcome = self.compute_caught(key);
+        self.cache.insert(*key, outcome.clone());
+        outcome
+    }
+
+    /// Runs (or retrieves) one simulation. A watchdog-truncated run
+    /// returns its partial report.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`RunError::Panicked`] text if every attempt of
+    /// the simulation panicked.
+    pub fn run(
+        &self,
+        workload: WorkloadId,
+        config: SystemConfig,
+        scale: Scale,
+        seed: u64,
+    ) -> RunReport {
+        let key = RunKey {
+            workload,
+            config,
+            scale,
+            seed,
+        };
+        self.outcome(&key)
+            .unwrap_or_else(|e| panic!("{workload}: {e}"))
+    }
+
+    /// Hardened variant of [`Runner::run`]: a panic comes back as
+    /// [`RunError::Panicked`], a watchdog cut as [`RunError::Timeout`].
+    pub fn try_run(
+        &self,
+        workload: WorkloadId,
+        config: SystemConfig,
+        scale: Scale,
+        seed: u64,
+    ) -> Result<RunReport, RunError> {
+        let key = RunKey {
+            workload,
+            config,
+            scale,
+            seed,
+        };
+        self.outcome(&key).and_then(settle)
+    }
+
+    /// Computes every key's outcome into the memo cache over
+    /// [`par_map_ordered`]. Keys already cached are skipped; duplicate
+    /// keys are computed once. Every computation is panic-isolated, so
+    /// one poisoned run never takes its siblings down with it.
+    pub fn prefetch(&self, keys: &[RunKey]) {
+        let mut seen = HashSet::new();
+        let pending: Vec<RunKey> = keys
+            .iter()
+            .filter(|key| seen.insert(**key) && self.cache.get(key).is_none())
+            .copied()
+            .collect();
+        let outcomes = par_map_ordered(self.jobs, &pending, |key| self.compute_caught(key));
+        for (key, outcome) in pending.into_iter().zip(outcomes) {
+            self.cache.insert(key, outcome);
+        }
+    }
+
+    /// Runs every key to a structured result: parallel prefetch, then
+    /// serial assembly in the caller's key order (duplicates included),
+    /// so output is byte-identical for any worker count. A sweep never
+    /// aborts: a panicking run yields [`RunError::Panicked`] after the
+    /// retry, a watchdogged run yields [`RunError::Timeout`] with
+    /// partial stats, and everything else completes normally.
+    pub fn sweep(&self, keys: &[RunKey]) -> SweepReport {
+        self.prefetch(keys);
+        let results = keys
+            .iter()
+            .map(|key| (*key, self.outcome(key).and_then(settle)))
+            .collect();
+        SweepReport { results }
+    }
+
+    /// Table-of-workloads run over one design, producing `(id, report)`
+    /// pairs in the paper's workload order. The runs are prefetched in
+    /// parallel first; the result order is always `WorkloadId::all()`.
+    pub fn run_all(
+        &self,
+        config: SystemConfig,
+        scale: Scale,
+        seed: u64,
+    ) -> Vec<(WorkloadId, RunReport)> {
+        self.prefetch(&keys_for(&WorkloadId::all(), &[config], scale, seed));
+        WorkloadId::all()
+            .into_iter()
+            .map(|id| (id, self.run(id, config, scale, seed)))
+            .collect()
+    }
 }
 
 /// Maps a computed report to the hardened result: a truncated report
@@ -408,202 +514,6 @@ fn settle(report: RunReport) -> Result<RunReport, RunError> {
             partial: Box::new(report),
         }),
         None => Ok(report),
-    }
-}
-
-/// Runs (or retrieves) one simulation.
-pub fn run(workload: WorkloadId, config: SystemConfig, scale: Scale, seed: u64) -> RunReport {
-    let key = RunKey {
-        workload,
-        config,
-        scale,
-        seed,
-    };
-    let memoize = MEMOIZE.load(Ordering::SeqCst);
-    if memoize {
-        if let Some(report) = cache().get(&key) {
-            return report;
-        }
-    }
-    let report = compute(&key);
-    if memoize {
-        cache().insert(key, report.clone());
-    }
-    report
-}
-
-/// Hardened variant of [`run`]: panics are caught and retried
-/// ([`set_max_retries`]), watchdog cuts surface as
-/// [`RunError::Timeout`]. Truncated reports are memoized like complete
-/// ones — under a fixed [`set_max_cycles`] budget the cut is
-/// deterministic in the key.
-pub fn try_run(
-    workload: WorkloadId,
-    config: SystemConfig,
-    scale: Scale,
-    seed: u64,
-) -> Result<RunReport, RunError> {
-    let key = RunKey {
-        workload,
-        config,
-        scale,
-        seed,
-    };
-    let memoize = MEMOIZE.load(Ordering::SeqCst);
-    if memoize {
-        if let Some(report) = cache().get(&key) {
-            return settle(report);
-        }
-    }
-    let report = compute_caught(&key)?;
-    if memoize {
-        cache().insert(key, report.clone());
-    }
-    settle(report)
-}
-
-/// Fans independent runs over a scoped worker pool, filling the memo
-/// cache.
-///
-/// Workers claim jobs through a shared atomic index, so scheduling is
-/// dynamic (long simulations don't serialize behind short ones) but
-/// the set of computed reports is exactly the key set — results land
-/// in the cache keyed by value, and the caller's subsequent serial
-/// [`run`] calls hit the warm cache in whatever order the figure
-/// wants. With memoization disabled this is a no-op: there is nowhere
-/// to park the results, so the caller's own `run` calls do the work.
-pub struct ParallelExecutor {
-    workers: usize,
-}
-
-impl ParallelExecutor {
-    /// An executor with the globally configured worker count
-    /// (see [`set_jobs`]).
-    pub fn new() -> Self {
-        ParallelExecutor { workers: jobs() }
-    }
-
-    /// An executor with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        ParallelExecutor {
-            workers: workers.max(1),
-        }
-    }
-
-    /// Computes every key's report into the memo cache. Keys already
-    /// cached are skipped; duplicate keys in `keys` are computed once.
-    pub fn prefetch(&self, keys: &[RunKey]) {
-        if !MEMOIZE.load(Ordering::SeqCst) {
-            return;
-        }
-        // Deduplicate up front so two workers never burn time on the
-        // same simulation.
-        let mut pending: Vec<RunKey> = Vec::with_capacity(keys.len());
-        let mut seen: std::collections::HashSet<RunKey> = std::collections::HashSet::new();
-        for key in keys {
-            if seen.insert(*key) && cache().get(key).is_none() {
-                pending.push(*key);
-            }
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let workers = self.workers.min(pending.len());
-        if workers <= 1 {
-            for key in &pending {
-                let report = compute(key);
-                cache().insert(*key, report);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let pending = &pending;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = pending.get(i) else { break };
-                    let report = compute(key);
-                    cache().insert(*key, report);
-                });
-            }
-        });
-    }
-
-    /// Panic-isolating [`prefetch`]: every key is computed through
-    /// [`compute_caught`], successful reports land in the memo cache,
-    /// and the failures come back keyed by run. A worker that panics
-    /// keeps claiming jobs — one poisoned run never takes its siblings
-    /// down with it. With memoization disabled nothing is prefetched
-    /// (there is nowhere to park results) and the map is empty.
-    fn prefetch_checked(&self, keys: &[RunKey]) -> HashMap<RunKey, RunError> {
-        let mut failures = HashMap::new();
-        if !MEMOIZE.load(Ordering::SeqCst) {
-            return failures;
-        }
-        let mut pending: Vec<RunKey> = Vec::with_capacity(keys.len());
-        let mut seen: std::collections::HashSet<RunKey> = std::collections::HashSet::new();
-        for key in keys {
-            if seen.insert(*key) && cache().get(key).is_none() {
-                pending.push(*key);
-            }
-        }
-        if pending.is_empty() {
-            return failures;
-        }
-        let failed: Mutex<Vec<(RunKey, RunError)>> = Mutex::new(Vec::new());
-        let workers = self.workers.min(pending.len());
-        let work = |key: &RunKey| match compute_caught(key) {
-            Ok(report) => cache().insert(*key, report),
-            Err(err) => failed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push((*key, err)),
-        };
-        if workers <= 1 {
-            for key in &pending {
-                work(key);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let pending = &pending;
-            let next = &next;
-            let work = &work;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(key) = pending.get(i) else { break };
-                        work(key);
-                    });
-                }
-            });
-        }
-        failures.extend(failed.into_inner().unwrap_or_else(PoisonError::into_inner));
-        failures
-    }
-
-    /// Runs every key to a structured result: parallel prefetch with
-    /// panic isolation, then serial assembly in the caller's key order
-    /// (duplicates included), so output is byte-identical for any
-    /// worker count. A sweep never aborts: a panicking run yields
-    /// [`RunError::Panicked`] after bounded retries, a watchdogged run
-    /// yields [`RunError::Timeout`] with partial stats, and everything
-    /// else completes normally.
-    pub fn sweep(&self, keys: &[RunKey]) -> SweepReport {
-        let failures = self.prefetch_checked(keys);
-        let results = keys
-            .iter()
-            .map(|key| {
-                let result = match failures.get(key) {
-                    Some(err) => Err(err.clone()),
-                    None => try_run(key.workload, key.config, key.scale, key.seed),
-                };
-                (*key, result)
-            })
-            .collect();
-        SweepReport { results }
     }
 }
 
@@ -625,17 +535,6 @@ impl SweepReport {
     pub fn err_count(&self) -> usize {
         self.results.len() - self.ok_count()
     }
-}
-
-impl Default for ParallelExecutor {
-    fn default() -> Self {
-        ParallelExecutor::new()
-    }
-}
-
-/// Convenience wrapper: prefetches `keys` with the global executor.
-pub fn prefetch(keys: &[RunKey]) {
-    ParallelExecutor::new().prefetch(keys);
 }
 
 /// Builds the key set for one design over a workload list.
@@ -676,40 +575,32 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Table-of-workloads run over one design, producing `(id, report)`
-/// pairs in the paper's workload order. The runs are prefetched in
-/// parallel first; the result order is always `WorkloadId::all()`.
-pub fn run_all(config: SystemConfig, scale: Scale, seed: u64) -> Vec<(WorkloadId, RunReport)> {
-    prefetch(&keys_for(&WorkloadId::all(), &[config], scale, seed));
-    WorkloadId::all()
-        .into_iter()
-        .map(|id| (id, run(id, config, scale, seed)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn memoization_returns_identical_reports() {
+        let runner = Runner::new();
         let scale = Scale::test();
-        let a = run(
+        let a = runner.run(
             WorkloadId::Pathfinder,
             SystemConfig::baseline_512(),
             scale,
             1,
         );
-        let b = run(
+        let b = runner.run(
             WorkloadId::Pathfinder,
             SystemConfig::baseline_512(),
             scale,
             1,
         );
         assert_eq!(a.cycles, b.cycles);
+        assert_eq!(runner.cache_len(), 1, "the second run hit the cache");
         // Different design: distinct run.
-        let c = run(WorkloadId::Pathfinder, SystemConfig::ideal_mmu(), scale, 1);
+        let c = runner.run(WorkloadId::Pathfinder, SystemConfig::ideal_mmu(), scale, 1);
         assert!(c.cycles != 0);
+        assert_eq!(runner.cache_len(), 2);
     }
 
     #[test]
@@ -722,33 +613,35 @@ mod tests {
 
     #[test]
     fn prefetch_fills_cache_and_run_hits_it() {
-        let scale = Scale::test();
+        let runner = Runner::with_jobs(2);
         let key = RunKey {
             workload: WorkloadId::Backprop,
             config: SystemConfig::baseline_512(),
-            scale,
+            scale: Scale::test(),
             seed: 77,
         };
-        ParallelExecutor::with_workers(2).prefetch(&[key, key]);
-        let a = run(key.workload, key.config, key.scale, key.seed);
-        let b = compute(&key);
+        runner.prefetch(&[key, key]);
+        assert_eq!(runner.cache_len(), 1, "duplicate keys are computed once");
+        let a = runner.run(key.workload, key.config, key.scale, key.seed);
+        let b = runner.compute(&key);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem.dram_reads, b.mem.dram_reads);
     }
 
     #[test]
     fn poisoned_shard_recovers_and_keeps_serving() {
+        let runner = Runner::new();
         let key = RunKey {
             workload: WorkloadId::Nw,
             config: SystemConfig::vc_without_opt(),
             scale: Scale::test(),
             seed: 913,
         };
-        let first = run(key.workload, key.config, key.scale, key.seed);
-        assert!(cache().get(&key).is_some());
+        let first = runner.run(key.workload, key.config, key.scale, key.seed);
+        assert!(runner.cache.get(&key).is_some());
 
         // Poison the key's shard: a thread dies holding the write lock.
-        let lock = cache().shard(&key);
+        let lock = runner.cache.shard(&key);
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 let _guard = lock.write().expect("not yet poisoned");
@@ -761,11 +654,14 @@ mod tests {
         // Recovery: the touched entry is evicted and the flag cleared,
         // then normal service resumes with a recomputed (identical)
         // report.
-        assert!(cache().get(&key).is_none(), "torn entry must be evicted");
+        assert!(
+            runner.cache.get(&key).is_none(),
+            "torn entry must be evicted"
+        );
         assert!(!lock.is_poisoned(), "poison flag must be cleared");
-        let again = run(key.workload, key.config, key.scale, key.seed);
+        let again = runner.run(key.workload, key.config, key.scale, key.seed);
         assert_eq!(first.cycles, again.cycles);
-        assert!(cache().get(&key).is_some(), "cache is writable again");
+        assert!(runner.cache.get(&key).is_some(), "cache is writable again");
     }
 
     #[test]
@@ -786,5 +682,28 @@ mod tests {
         assert_ne!(a, c);
         let set: std::collections::HashSet<RunKey> = [a, b, c, a].into_iter().collect();
         assert_eq!(set.len(), 3);
+    }
+
+    #[test]
+    fn par_map_ordered_keeps_input_order_for_any_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let serial = par_map_ordered(1, &items, |x| x * x);
+        for jobs in [2, 4, 64] {
+            assert_eq!(par_map_ordered(jobs, &items, |x| x * x), serial);
+        }
+        assert!(par_map_ordered(4, &[] as &[u64], |x| *x).is_empty());
+    }
+
+    #[test]
+    fn par_map_ordered_propagates_a_worker_panic() {
+        let items: Vec<u32> = (0..8).collect();
+        let caught = catch_unwind(|| {
+            par_map_ordered(3, &items, |&x| {
+                assert!(x != 5, "item five is poisoned");
+                x
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert!(panic_message(payload.as_ref()).contains("item five"));
     }
 }

@@ -31,18 +31,16 @@
 //!    SIGINT/SIGTERM writes a final checkpoint plus a partial report
 //!    flagged `truncated`.
 //!
-//! Cells are computed by the same claim-counter worker pool as the
-//! tenants sweep and assembled serially in design order.
+//! Cells are computed on the same worker pool as the figures and the
+//! tenants sweep ([`par_map_ordered`]) and assembled in design order.
 
+use crate::runner::{panic_message, par_map_ordered, seeded_backoff_ms};
 use crate::signals;
 use gvc::SystemConfig;
 use gvc_gpu::{SoakCheckpoint, SoakConfig, SoakReport, SoakSim, SOAK_CHECKPOINT_VERSION};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Default designs for the soak: the paper's baseline and the full
@@ -189,20 +187,6 @@ pub struct SoakRun {
     pub recoveries: u32,
 }
 
-/// Deterministic seeded retry backoff for epoch recovery, on the same
-/// capped-exponential schedule as [`crate::runner::retry_backoff_ms`]:
-/// base `4 << (attempt-1)` ms capped at 256 ms, jittered into
-/// `[base/2, 3*base/2)` by a stream seeded from (design, seed, epoch).
-pub fn recovery_backoff_ms(design: &str, seed: u64, epoch: u64, attempt: u32) -> u64 {
-    let base = (4u64 << attempt.saturating_sub(1).min(6)).min(256);
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    design.hash(&mut h);
-    seed.hash(&mut h);
-    epoch.hash(&mut h);
-    let mut rng = gvc_engine::SimRng::seeded(h.finish() ^ u64::from(attempt));
-    rng.range(base / 2, base + base / 2)
-}
-
 /// The checkpoint file for one design cell.
 pub fn checkpoint_path(state_dir: &str, design: &str) -> String {
     format!("{state_dir}/soak_{design}.ckpt.json")
@@ -269,16 +253,6 @@ fn sys_for(spec: &SoakSpec, design: &str) -> SystemConfig {
         sys = sys.with_inject(gvc::InjectConfig::uniform(ppm, spec.cfg.seed));
     }
     sys
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// One cell's supervision outcome.
@@ -408,7 +382,9 @@ fn run_cell(spec: &SoakSpec, design: &str) -> Result<CellResult, String> {
                             spec.retries
                         ));
                     }
-                    let delay = recovery_backoff_ms(design, cfg.seed, next, attempt);
+                    // Seeded by (design, seed, epoch) so every cell and
+                    // epoch gets its own replayable schedule.
+                    let delay = seeded_backoff_ms(&(design, cfg.seed, next), attempt);
                     eprintln!(
                         "soak[{design}]: epoch {next} attempt {attempt} failed ({why}); \
                          restoring epoch-{} checkpoint, retrying in {delay} ms",
@@ -437,9 +413,9 @@ fn run_cell(spec: &SoakSpec, design: &str) -> Result<CellResult, String> {
     }
 }
 
-/// Runs the soak: one supervised cell per design, computed by a
-/// claim-counter worker pool and assembled serially in design order
-/// (byte-identical for any `jobs`).
+/// Runs the soak: one supervised cell per design, computed on
+/// [`par_map_ordered`] and assembled in design order (byte-identical
+/// for any `jobs`).
 pub fn collect(spec: &SoakSpec) -> Result<SoakRun, String> {
     if spec.checkpoint_every == 0 {
         return Err("checkpoint cadence must be at least 1 epoch".into());
@@ -454,37 +430,14 @@ pub fn collect(spec: &SoakSpec) -> Result<SoakRun, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     }
 
-    let results: Vec<Mutex<Option<Result<CellResult, String>>>> =
-        spec.designs.iter().map(|_| Mutex::new(None)).collect();
-    let workers = spec.jobs.max(1).min(spec.designs.len().max(1));
-    if workers <= 1 {
-        for (design, slot) in spec.designs.iter().zip(&results) {
-            *slot.lock().expect("no worker panicked") = Some(run_cell(spec, design));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let (designs, results, next) = (&spec.designs, &results, &next);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(design) = designs.get(i) else { break };
-                    let cell = run_cell(spec, design);
-                    *results[i].lock().expect("no worker panicked") = Some(cell);
-                });
-            }
-        });
-    }
+    let results = par_map_ordered(spec.jobs, &spec.designs, |design| run_cell(spec, design));
 
     let mut cells = Vec::new();
     let mut recoveries = 0u32;
     let mut truncated = false;
     let mut killed_at = None;
-    for slot in results {
-        let cell = slot
-            .into_inner()
-            .expect("no worker panicked")
-            .expect("every cell was supervised")?;
+    for cell in results {
+        let cell = cell?;
         recoveries += cell.recoveries;
         truncated |= cell.truncated;
         if let Some(e) = cell.killed_at {
@@ -575,6 +528,7 @@ impl fmt::Display for Soak {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{Hash, Hasher};
 
     // NOTE: nothing here may touch the crate::signals latch — these
     // run in the same process as the tenants sweep tests, which poll
@@ -630,16 +584,25 @@ mod tests {
     fn backoff_is_deterministic_and_bounded() {
         for attempt in 1..=10u32 {
             let base = (4u64 << (attempt - 1).min(6)).min(256);
-            let d = recovery_backoff_ms("vc", 42, 3, attempt);
-            assert_eq!(d, recovery_backoff_ms("vc", 42, 3, attempt));
+            let d = seeded_backoff_ms(&("vc", 42u64, 3u64), attempt);
+            assert_eq!(d, seeded_backoff_ms(&("vc", 42u64, 3u64), attempt));
             assert!(d >= base / 2 && d < base + base / 2);
+            // The tuple hashes to the same stream as hashing its fields
+            // one after another, so the schedule equals the one the
+            // supervisor has always slept.
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            "vc".hash(&mut h);
+            42u64.hash(&mut h);
+            3u64.hash(&mut h);
+            let mut rng = gvc_engine::SimRng::seeded(h.finish() ^ u64::from(attempt));
+            assert_eq!(d, rng.range(base / 2, base + base / 2));
         }
         assert_ne!(
             (1..=6)
-                .map(|a| recovery_backoff_ms("vc", 42, 3, a))
+                .map(|a| seeded_backoff_ms(&("vc", 42u64, 3u64), a))
                 .collect::<Vec<_>>(),
             (1..=6)
-                .map(|a| recovery_backoff_ms("baseline-512", 42, 3, a))
+                .map(|a| seeded_backoff_ms(&("baseline-512", 42u64, 3u64), a))
                 .collect::<Vec<_>>(),
             "distinct designs must decorrelate the schedule"
         );

@@ -179,14 +179,16 @@ pub(crate) fn jain_index(rates: &[f64]) -> f64 {
     (sum * sum) / (rates.len() as f64 * sq)
 }
 
-/// Per-CU outstanding-request admission (same shape as the run loop's
-/// MSHR limit in [`crate::sim`]).
+/// Per-CU outstanding-request tracker (the L1 MSHR admission limit),
+/// shared by the run loop in [`crate::sim`], the service, and the soak.
 #[derive(Debug, Default)]
 pub(crate) struct Outstanding {
     completions: BinaryHeap<Reverse<Cycle>>,
 }
 
 impl Outstanding {
+    /// Admits a request arriving at `at` under `cap` outstanding
+    /// requests; returns the (possibly delayed) admission time.
     pub(crate) fn admit(&mut self, at: Cycle, cap: usize) -> Cycle {
         while let Some(&Reverse(done)) = self.completions.peek() {
             if done <= at {
@@ -421,9 +423,6 @@ pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
             if let Some(p) = plan.as_mut() {
                 if let Some(ev) = p.poll() {
                     apply_inject(ev, p, &mut os, &mut mem, Cycle::new(now));
-                    if paranoid {
-                        mem.check_invariants();
-                    }
                 }
             }
         }
@@ -504,15 +503,19 @@ fn evict_and_respawn(
     t.evictions += 1;
 }
 
-/// Executes one injected event against the live hierarchy/OS (the
-/// service-layer twin of the run loop's handler in [`crate::sim`]).
+/// Executes one injected event against the live hierarchy/OS and
+/// (under paranoid mode) re-verifies every invariant immediately, so a
+/// violation is pinned to the event that caused it. Returns how many
+/// coherence probes were delivered. Shared by the run loop in
+/// [`crate::sim`], the service, and the soak.
 pub(crate) fn apply_inject(
     ev: InjectEvent,
     plan: &mut InjectPlan,
     os: &mut OsLite,
     mem: &mut MemorySystem,
     at: Cycle,
-) {
+) -> u64 {
+    let mut probes = 0;
     match ev {
         InjectEvent::Shootdown(sd) => {
             mem.apply_shootdown(&sd, at);
@@ -528,6 +531,7 @@ pub(crate) fn apply_inject(
                         };
                         let paddr = pa.ppn().line_addr(tgt.line);
                         mem.handle_probe(Probe { paddr, kind, at });
+                        probes += 1;
                         true
                     }
                     None => false,
@@ -559,6 +563,10 @@ pub(crate) fn apply_inject(
             plan.record_splinter(ok);
         }
     }
+    if mem.config().paranoid {
+        mem.check_invariants();
+    }
+    probes
 }
 
 #[cfg(test)]

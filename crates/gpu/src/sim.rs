@@ -10,15 +10,15 @@
 
 use crate::coalescer::{coalesce_into, CoalesceStats};
 use crate::kernel::{KernelSource, WaveOp, WaveProgram};
-use gvc::{inject, InjectEvent, InjectPlan, InjectReport};
+use crate::service::{apply_inject, Outstanding};
+use gvc::{inject, InjectPlan, InjectReport};
 use gvc::{LineAccess, MemReport, MemorySystem, SystemConfig};
 use gvc_engine::time::{Cycle, Duration};
 use gvc_engine::{EventQueue, ThroughputPort, TraceCause, TraceHandle};
-use gvc_mem::{OsLite, ProcessId};
-use gvc_soc::{Probe, ProbeInjector, ProbeKind};
+use gvc_mem::OsLite;
+use gvc_soc::ProbeInjector;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// GPU front-end configuration (Table 1 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,36 +126,6 @@ impl RunReport {
     /// baseline.cycles) — Figure 4's metric.
     pub fn relative_time_to(&self, baseline: &RunReport) -> f64 {
         self.cycles as f64 / baseline.cycles.max(1) as f64
-    }
-}
-
-/// Per-CU outstanding-request tracker (the L1 MSHR admission limit).
-#[derive(Debug, Default)]
-struct Outstanding {
-    completions: BinaryHeap<Reverse<Cycle>>,
-}
-
-impl Outstanding {
-    /// Admits a request arriving at `at` under `cap` outstanding
-    /// requests; returns the (possibly delayed) admission time.
-    fn admit(&mut self, at: Cycle, cap: usize) -> Cycle {
-        while let Some(&Reverse(done)) = self.completions.peek() {
-            if done <= at {
-                self.completions.pop();
-            } else {
-                break;
-            }
-        }
-        if self.completions.len() < cap {
-            at
-        } else {
-            let Reverse(done) = self.completions.pop().expect("cap > 0 checked at config");
-            done.max(at)
-        }
-    }
-
-    fn track(&mut self, done: Cycle) {
-        self.completions.push(Reverse(done));
     }
 }
 
@@ -390,7 +360,8 @@ impl GpuSim {
                                 }
                                 if let Some(p) = plan.as_mut() {
                                     if let Some(ev) = p.poll() {
-                                        self.apply_inject(ev, p, os, t);
+                                        self.probes_delivered +=
+                                            apply_inject(ev, p, os, &mut self.mem, t);
                                     }
                                 }
                                 done
@@ -428,62 +399,6 @@ impl GpuSim {
             truncated,
             injected: plan.as_ref().map(InjectPlan::report),
             mem,
-        }
-    }
-
-    /// Executes one injected event against the live hierarchy/OS and
-    /// (under paranoid mode) re-verifies every invariant immediately,
-    /// so a violation is pinned to the event that caused it.
-    fn apply_inject(&mut self, ev: InjectEvent, plan: &mut InjectPlan, os: &mut OsLite, at: Cycle) {
-        match ev {
-            InjectEvent::Shootdown(sd) => {
-                self.mem.apply_shootdown(&sd, at);
-            }
-            InjectEvent::ProbeBurst(targets) => {
-                for tgt in targets {
-                    let delivered = match os.translate(ProcessId(tgt.asid.0), tgt.vpn.base()) {
-                        Some((pa, _)) => {
-                            let kind = if tgt.invalidate {
-                                ProbeKind::Invalidate
-                            } else {
-                                ProbeKind::Downgrade
-                            };
-                            let paddr = pa.ppn().line_addr(tgt.line);
-                            self.mem.handle_probe(Probe { paddr, kind, at });
-                            self.probes_delivered += 1;
-                            true
-                        }
-                        None => false,
-                    };
-                    plan.record_probe(delivered);
-                }
-            }
-            InjectEvent::FbtPressure { ways, window } => {
-                self.mem.inject_fbt_pressure(ways, window);
-            }
-            InjectEvent::Remap { asid, vpn } => {
-                let ok = match os.remap_page(ProcessId(asid.0), vpn) {
-                    Ok(sd) => {
-                        self.mem.apply_shootdown(&sd, at);
-                        true
-                    }
-                    Err(_) => false,
-                };
-                plan.record_remap(ok);
-            }
-            InjectEvent::Splinter { asid, vpn } => {
-                let ok = match os.splinter(ProcessId(asid.0), vpn) {
-                    Ok(sd) => {
-                        self.mem.apply_shootdown(&sd, at);
-                        true
-                    }
-                    Err(_) => false,
-                };
-                plan.record_splinter(ok);
-            }
-        }
-        if self.mem.config().paranoid {
-            self.mem.check_invariants();
         }
     }
 }

@@ -593,9 +593,6 @@ impl SoakSim {
             if let Some(p) = self.plan.as_mut() {
                 if let Some(ev) = p.poll() {
                     apply_inject(ev, p, &mut self.os, &mut self.mem, Cycle::new(self.now));
-                    if self.paranoid {
-                        self.mem.check_invariants();
-                    }
                 }
             }
         }

@@ -26,8 +26,8 @@ thread_local! {
     /// Per-thread memo of power-law graphs. Construction is
     /// deterministic, so a cached graph is bit-identical to a rebuilt
     /// one; sweeps that run many designs over one workload (and
-    /// `repro bench`, which times repeated runs) skip the
-    /// Zipf-sampling cost after the first build.
+    /// benchmarks that time repeated runs) skip the Zipf-sampling cost
+    /// after the first build.
     static POWER_LAW_MEMO: RefCell<GraphMemo> = const { RefCell::new(Vec::new()) };
 }
 

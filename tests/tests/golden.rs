@@ -15,6 +15,7 @@
 //! diff then documents that the PR changed results, not just speed.
 
 use gvc_bench::figures::{fig11, fig12, fig9};
+use gvc_bench::Runner;
 use gvc_workloads::Scale;
 
 /// 64-bit FNV-1a over the serialized bytes. Not cryptographic — just
@@ -60,7 +61,7 @@ fn fig9_speedup_matrix_is_byte_stable() {
     // it fingerprints the whole simulation spine.
     assert_golden(
         "fig9/test/42",
-        fingerprint(&fig9::collect(Scale::test(), 42)),
+        fingerprint(&fig9::collect(&Runner::new(), Scale::test(), 42)),
         FIG9_TEST_S42,
     );
 }
@@ -72,7 +73,7 @@ fn fig9_speedup_matrix_is_byte_stable_at_seed_7() {
     // pass seed 42 and fail here.
     assert_golden(
         "fig9/test/7",
-        fingerprint(&fig9::collect(Scale::test(), 7)),
+        fingerprint(&fig9::collect(&Runner::new(), Scale::test(), 7)),
         FIG9_TEST_S7,
     );
 }
@@ -83,7 +84,7 @@ fn fig11_l1only_designs_are_byte_stable() {
     // sizing + large IOMMU TLB) that fig9 does not.
     assert_golden(
         "fig11/test/42",
-        fingerprint(&fig11::collect(Scale::test(), 42)),
+        fingerprint(&fig11::collect(&Runner::new(), Scale::test(), 42)),
         FIG11_TEST_S42,
     );
 }
@@ -95,7 +96,7 @@ fn fig12_lifetime_cdfs_are_byte_stable() {
     // accidental reordering (it sorts samples with total_cmp).
     assert_golden(
         "fig12/test/42",
-        fingerprint(&fig12::collect(Scale::test(), 42)),
+        fingerprint(&fig12::collect(&Runner::new(), Scale::test(), 42)),
         FIG12_TEST_S42,
     );
 }
@@ -107,7 +108,7 @@ fn fingerprint_detects_a_deliberate_ordering_perturbation() {
     // of the first map we find — the kind of "harmless" reordering a
     // struct-of-arrays rewrite could introduce by iterating sets in a
     // different order — and check the fingerprint moves.
-    let value = serde::Serialize::to_value(&fig12::collect(Scale::test(), 42));
+    let value = serde::Serialize::to_value(&fig12::collect(&Runner::new(), Scale::test(), 42));
     let clean = fnv1a(
         serde_json::to_string_pretty(&value)
             .expect("serialize")

@@ -12,11 +12,10 @@
 //!   preset while storms, probe bursts, FBT pressure, and page remaps
 //!   are being injected.
 //!
-//! No test here mutates runner globals, so they can run concurrently;
-//! distinct seeds/configs keep their cache keys disjoint.
+//! Every test builds its own [`Runner`], so they can run concurrently.
 
 use gvc::{InjectConfig, SystemConfig};
-use gvc_bench::runner::{self, ParallelExecutor, RunKey};
+use gvc_bench::runner::{keys_for, Runner};
 use gvc_workloads::{Scale, WorkloadId};
 
 /// A workload slice big enough to exercise every injector, small
@@ -44,24 +43,15 @@ fn presets() -> [SystemConfig; 5] {
 /// Serializes an injected + paranoid sweep to canonical JSON, exactly
 /// the way `repro --inject --paranoid --json` would emit it.
 fn injected_sweep_json(workers: usize, inject_seed: u64) -> String {
-    runner::clear_cache();
+    let runner = Runner::with_jobs(workers);
     let scale = Scale::test();
     let config = SystemConfig::vc_with_opt()
         .with_paranoid()
         .with_inject(InjectConfig::uniform(20_000, inject_seed));
-    let keys: Vec<RunKey> = workloads()
-        .into_iter()
-        .map(|workload| RunKey {
-            workload,
-            config,
-            scale,
-            seed: 42,
-        })
-        .collect();
-    ParallelExecutor::with_workers(workers).prefetch(&keys);
+    runner.prefetch(&keys_for(&workloads(), &[config], scale, 42));
     let reports: Vec<_> = workloads()
         .into_iter()
-        .map(|id| runner::run(id, config, scale, 42))
+        .map(|id| runner.run(id, config, scale, 42))
         .collect();
     for rep in &reports {
         let inj = rep.injected.expect("injection was armed");
@@ -94,12 +84,13 @@ fn injection_replays_from_the_seed_and_diverges_across_seeds() {
 fn paranoid_stays_green_across_all_presets_under_injection() {
     // Success criterion: the paranoid checker panics on any violated
     // invariant, so merely completing every run is the assertion.
+    let runner = Runner::new();
     let scale = Scale::test();
     for preset in presets() {
         let config = preset
             .with_paranoid()
             .with_inject(InjectConfig::uniform(20_000, 1234));
-        let rep = runner::run(WorkloadId::Bfs, config, scale, 42);
+        let rep = runner.run(WorkloadId::Bfs, config, scale, 42);
         assert!(rep.cycles > 0);
         assert!(rep.injected.is_some());
         // Walker-level injection must also have been live, and its
@@ -114,12 +105,13 @@ fn paranoid_stays_green_across_all_presets_under_injection() {
 #[test]
 #[ignore = "soak: minutes of paranoid-mode simulation; ci.sh opts in"]
 fn seeded_injection_soak() {
+    let runner = Runner::new();
     let scale = Scale::test();
     let inject = InjectConfig::uniform(30_000, 42);
     for preset in [SystemConfig::vc_with_opt(), SystemConfig::vc_without_opt()] {
         for workload in [WorkloadId::Bfs, WorkloadId::Kmeans, WorkloadId::Lud] {
             let config = preset.with_paranoid().with_inject(inject);
-            let rep = runner::run(workload, config, scale, 42);
+            let rep = runner.run(workload, config, scale, 42);
             let inj = rep.injected.expect("armed");
             assert!(
                 inj.storms + inj.probe_bursts + inj.pressure_windows + inj.remaps > 0,

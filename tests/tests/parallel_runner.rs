@@ -4,33 +4,25 @@
 //! being identical whether it was computed serially or by a worker
 //! pool.
 //!
-//! These tests share one process (and therefore one memo cache), so
-//! each clears the cache before forcing recomputation under a
-//! different worker count.
+//! Every test builds its own [`Runner`], so each starts from an empty
+//! memo cache and no test can see another's cache or settings.
 
 use gvc::SystemConfig;
-use gvc_bench::runner::{self, ParallelExecutor, RunKey};
+use gvc_bench::runner::{keys_for, RunKey, Runner};
+use gvc_gpu::Truncation;
 use gvc_workloads::{Scale, WorkloadId};
+use std::sync::Barrier;
 
-/// Serializes a full run_all sweep to canonical JSON for
-/// byte-comparison (RunReport has no PartialEq; JSON is the same
-/// representation `repro --json` writes).
+/// Serializes a full sweep to canonical JSON for byte-comparison
+/// (RunReport has no PartialEq; JSON is the same representation
+/// `repro --json` writes).
 fn sweep_json(config: SystemConfig, workers: usize, seed: u64) -> String {
-    runner::clear_cache();
+    let runner = Runner::with_jobs(workers);
     let scale = Scale::test();
-    let keys: Vec<RunKey> = WorkloadId::all()
-        .into_iter()
-        .map(|workload| RunKey {
-            workload,
-            config,
-            scale,
-            seed,
-        })
-        .collect();
-    ParallelExecutor::with_workers(workers).prefetch(&keys);
+    runner.prefetch(&keys_for(&WorkloadId::all(), &[config], scale, seed));
     let reports: Vec<_> = WorkloadId::all()
         .into_iter()
-        .map(|id| runner::run(id, config, scale, seed))
+        .map(|id| runner.run(id, config, scale, seed))
         .collect();
     serde_json::to_string_pretty(&reports).expect("reports serialize")
 }
@@ -61,35 +53,23 @@ fn different_seeds_differ() {
 
 #[test]
 fn prefetch_covers_every_workload() {
-    runner::clear_cache();
-    let scale = Scale::test();
-    let config = SystemConfig::ideal_mmu();
-    let keys: Vec<RunKey> = WorkloadId::all()
-        .into_iter()
-        .map(|workload| RunKey {
-            workload,
-            config,
-            scale,
-            seed: 3,
-        })
-        .collect();
-    ParallelExecutor::with_workers(4).prefetch(&keys);
-    assert_eq!(runner::cache_len(), WorkloadId::all().len());
+    let runner = Runner::with_jobs(4);
+    let keys = keys_for(
+        &WorkloadId::all(),
+        &[SystemConfig::ideal_mmu()],
+        Scale::test(),
+        3,
+    );
+    runner.prefetch(&keys);
+    assert_eq!(runner.cache_len(), WorkloadId::all().len());
 }
 
 #[test]
 fn run_all_is_worker_count_invariant_per_workload() {
     let scale = Scale::test();
     let config = SystemConfig::baseline_16k();
-
-    runner::clear_cache();
-    runner::set_jobs(Some(std::num::NonZeroUsize::new(1).unwrap()));
-    let serial = runner::run_all(config, scale, 11);
-
-    runner::clear_cache();
-    runner::set_jobs(Some(std::num::NonZeroUsize::new(4).unwrap()));
-    let parallel = runner::run_all(config, scale, 11);
-    runner::set_jobs(None);
+    let serial = Runner::with_jobs(1).run_all(config, scale, 11);
+    let parallel = Runner::with_jobs(4).run_all(config, scale, 11);
 
     assert_eq!(serial.len(), parallel.len());
     for ((id_a, rep_a), (id_b, rep_b)) in serial.iter().zip(&parallel) {
@@ -98,4 +78,60 @@ fn run_all_is_worker_count_invariant_per_workload() {
         let b = serde_json::to_string(rep_b).expect("serializes");
         assert_eq!(a, b, "workload {id_a} differs between 1 and 4 workers");
     }
+}
+
+/// Two runners driven from two threads at once share nothing: one
+/// runs under a cycle watchdog while the other repeatedly clears and
+/// refills its own cache, and each sees only its own cache length and
+/// its own truncation setting. (With process-global run state, the
+/// clearing thread used to empty the other's cache mid-assertion.)
+#[test]
+fn concurrent_runners_keep_their_own_cache_and_settings() {
+    let scale = Scale::test();
+    let config = SystemConfig::baseline_512();
+    let workloads = [WorkloadId::Pathfinder, WorkloadId::Backprop, WorkloadId::Nw];
+    let keys: Vec<RunKey> = keys_for(&workloads, &[config], scale, 5);
+    let rounds = 3;
+    let barrier = Barrier::new(2);
+
+    std::thread::scope(|scope| {
+        let capped = scope.spawn(|| {
+            let mut runner = Runner::with_jobs(2);
+            runner.max_cycles = Some(2_000);
+            barrier.wait();
+            for round in 0..rounds {
+                for (i, key) in keys.iter().enumerate() {
+                    let rep = runner.run(key.workload, key.config, key.scale, key.seed);
+                    assert_eq!(
+                        rep.truncated,
+                        Some(Truncation::MaxCycles),
+                        "round {round}: the capped runner lost its watchdog"
+                    );
+                    assert_eq!(
+                        runner.cache_len(),
+                        if round == 0 { i + 1 } else { keys.len() }
+                    );
+                }
+            }
+        });
+        let clearing = scope.spawn(|| {
+            let runner = Runner::with_jobs(2);
+            barrier.wait();
+            for round in 0..rounds {
+                runner.clear();
+                assert_eq!(runner.cache_len(), 0, "round {round}: clear left entries");
+                runner.prefetch(&keys);
+                assert_eq!(runner.cache_len(), keys.len(), "round {round}");
+                for key in &keys {
+                    let rep = runner.run(key.workload, key.config, key.scale, key.seed);
+                    assert_eq!(
+                        rep.truncated, None,
+                        "round {round}: the other runner's watchdog leaked in"
+                    );
+                }
+            }
+        });
+        capped.join().expect("capped runner thread");
+        clearing.join().expect("clearing runner thread");
+    });
 }

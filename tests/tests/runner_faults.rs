@@ -2,13 +2,9 @@
 //! a run that trips the cycle watchdog still completes, reporting both
 //! as structured [`RunError`]s while every healthy key gets its full
 //! report.
-//!
-//! Everything lives in ONE test function: the watchdog and retry knobs
-//! are process-wide, and a sibling test running concurrently would see
-//! them.
 
 use gvc::SystemConfig;
-use gvc_bench::runner::{self, ParallelExecutor, RunError, RunKey};
+use gvc_bench::runner::{self, RunError, RunKey, Runner};
 use gvc_gpu::Truncation;
 use gvc_workloads::{Scale, WorkloadId};
 
@@ -26,8 +22,9 @@ fn sweep_survives_panics_and_timeouts_with_structured_errors() {
 
     // Measure both runs un-watchdogged, then pick a cycle budget that
     // lets the faster one finish and cuts the slower one.
-    let a_cycles = runner::run(a.workload, a.config, a.scale, a.seed).cycles;
-    let b_cycles = runner::run(b.workload, b.config, b.scale, b.seed).cycles;
+    let unlimited = Runner::new();
+    let a_cycles = unlimited.run(a.workload, a.config, a.scale, a.seed).cycles;
+    let b_cycles = unlimited.run(b.workload, b.config, b.scale, b.seed).cycles;
     assert_ne!(a_cycles, b_cycles, "need distinct run lengths to split");
     let (fast, slow) = if a_cycles < b_cycles { (a, b) } else { (b, a) };
     let (fast_cycles, slow_cycles) = (a_cycles.min(b_cycles), a_cycles.max(b_cycles));
@@ -41,11 +38,9 @@ fn sweep_survives_panics_and_timeouts_with_structured_errors() {
         ..fast
     };
 
-    runner::set_max_retries(1);
-    runner::set_max_cycles(Some(fast_cycles));
-    runner::clear_cache();
-    let sweep = ParallelExecutor::with_workers(3).sweep(&[fast, bad, slow]);
-    runner::set_max_cycles(None);
+    let mut capped = Runner::with_jobs(3);
+    capped.max_cycles = Some(fast_cycles);
+    let sweep = capped.sweep(&[fast, bad, slow]);
 
     assert_eq!(sweep.results.len(), 3, "sweep must report every key");
     assert_eq!(sweep.ok_count(), 1);
@@ -71,10 +66,10 @@ fn sweep_survives_panics_and_timeouts_with_structured_errors() {
                 "panic payload should survive: {message:?}"
             );
             assert_eq!(*attempts, 2, "1 retry = 2 attempts");
-            assert_eq!(*retry_budget, 1, "the configured budget is surfaced");
+            assert_eq!(*retry_budget, 1, "the retry budget is surfaced");
             // One retry slept one deterministic backoff: the attempt-1
             // schedule is base 4 ms jittered into [2, 6) ms.
-            let expected = runner::retry_backoff_ms(&bad, 1);
+            let expected = runner::seeded_backoff_ms(&bad, 1);
             assert_eq!(*backoff_ms, expected, "backoff must be the seeded delay");
             assert!((2..6).contains(backoff_ms), "attempt-1 jitter window");
             let shown = format!("{}", panicked.as_ref().unwrap_err());
@@ -104,16 +99,13 @@ fn sweep_survives_panics_and_timeouts_with_structured_errors() {
         other => panic!("expected Timeout, got {other:?}"),
     }
 
-    // The poisoned/cut state must not leak: with the watchdog off, the
-    // same slow key runs to completion again.
-    runner::clear_cache();
-    let clean = runner::try_run(slow.workload, slow.config, slow.scale, slow.seed)
+    // The cut state must not leak: a runner without the watchdog runs
+    // the same slow key to completion.
+    let clean = Runner::new()
+        .try_run(slow.workload, slow.config, slow.scale, slow.seed)
         .expect("watchdog off: runs to completion");
     assert_eq!(clean.cycles, slow_cycles);
 }
-
-// The backoff and CLI tests below are safe as sibling tests: they are
-// pure functions and touch none of the process-wide runner knobs.
 
 mod retry_backoff {
     use super::*;
@@ -131,16 +123,16 @@ mod retry_backoff {
     fn backoff_is_deterministic_per_key_and_attempt() {
         for attempt in 1..=8 {
             assert_eq!(
-                runner::retry_backoff_ms(&key(1), attempt),
-                runner::retry_backoff_ms(&key(1), attempt),
+                runner::seeded_backoff_ms(&key(1), attempt),
+                runner::seeded_backoff_ms(&key(1), attempt),
                 "same key + attempt must produce the same delay"
             );
         }
         let first: Vec<u64> = (1..=6)
-            .map(|a| runner::retry_backoff_ms(&key(1), a))
+            .map(|a| runner::seeded_backoff_ms(&key(1), a))
             .collect();
         let other: Vec<u64> = (1..=6)
-            .map(|a| runner::retry_backoff_ms(&key(2), a))
+            .map(|a| runner::seeded_backoff_ms(&key(2), a))
             .collect();
         assert_ne!(first, other, "distinct keys must decorrelate the schedule");
     }
@@ -149,7 +141,7 @@ mod retry_backoff {
     fn backoff_is_exponential_with_bounded_jitter() {
         for attempt in 1..=12u32 {
             let base = (4u64 << (attempt - 1).min(6)).min(256);
-            let d = runner::retry_backoff_ms(&key(3), attempt);
+            let d = runner::seeded_backoff_ms(&key(3), attempt);
             assert!(
                 d >= base / 2 && d < base + base / 2,
                 "attempt {attempt}: delay {d} outside [{}, {})",
@@ -159,12 +151,9 @@ mod retry_backoff {
         }
         // The cap: arbitrarily late attempts never sleep longer than
         // 3/2 × 256 ms.
-        assert!(runner::retry_backoff_ms(&key(3), 1_000) < 384);
+        assert!(runner::seeded_backoff_ms(&key(3), 1_000) < 384);
     }
 }
-
-// The CLI tests below are safe as sibling tests: `cli::parse` is a
-// pure function and touches none of the process-wide runner knobs.
 
 mod cli_validation {
     use gvc_bench::cli::{self, CliError};
@@ -231,16 +220,8 @@ mod cli_validation {
     }
 
     #[test]
-    fn bench_subcommand_and_its_flags() {
-        let ok = parse(&["bench"]).unwrap();
-        assert!(ok.bench && !ok.micro && ok.bench_check.is_none());
-        let ok = parse(&["bench", "--micro", "--check", "BENCH_0.json"]).unwrap();
-        assert!(ok.bench && ok.micro);
-        assert_eq!(ok.bench_check.as_deref(), Some("BENCH_0.json"));
-        // Both flags are meaningless outside `bench`.
-        expect_invalid(&["fig2", "--micro"], "--micro", "bench");
-        expect_invalid(&["fig2", "--check", "BENCH_0.json"], "--check", "bench");
-        expect_invalid(&["bench", "--check"], "--check", "missing value");
+    fn bench_is_an_unknown_target() {
+        expect_invalid(&["bench"], "bench", "unknown target");
     }
 
     #[test]
