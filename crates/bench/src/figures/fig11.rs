@@ -38,27 +38,11 @@ pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig11 {
     ));
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
-        let base = runner
-            .run(id, SystemConfig::baseline_16k(), scale, seed)
-            .cycles as f64;
-        let s32 = safe_ratio(
-            base,
-            runner
-                .run(id, SystemConfig::l1_only_vc_32(), scale, seed)
-                .cycles as f64,
-        );
-        let s128 = safe_ratio(
-            base,
-            runner
-                .run(id, SystemConfig::l1_only_vc_128(), scale, seed)
-                .cycles as f64,
-        );
-        let sfull = safe_ratio(
-            base,
-            runner
-                .run(id, SystemConfig::vc_with_opt(), scale, seed)
-                .cycles as f64,
-        );
+        let cycles = |cfg| runner.run(id, cfg, scale, seed).cycles as f64;
+        let base = cycles(SystemConfig::baseline_16k());
+        let s32 = safe_ratio(base, cycles(SystemConfig::l1_only_vc_32()));
+        let s128 = safe_ratio(base, cycles(SystemConfig::l1_only_vc_128()));
+        let sfull = safe_ratio(base, cycles(SystemConfig::vc_with_opt()));
         rows.push((id.name().to_string(), s32, s128, sfull));
     }
     let l1_only_32 = mean(&rows.iter().map(|r| r.1).collect::<Vec<_>>());

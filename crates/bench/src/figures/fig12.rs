@@ -6,7 +6,7 @@
 //! larger L2 — is still actively used, which is why virtual caches
 //! filter TLB misses so effectively.
 
-use crate::runner::{RunKey, Runner};
+use crate::runner::Runner;
 use gvc::report::LifetimeCurves;
 use gvc::SystemConfig;
 use gvc_workloads::{Scale, WorkloadId};
@@ -34,14 +34,6 @@ pub struct Fig12 {
 /// happen: the configuration enables tracking).
 pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig12 {
     let cfg = SystemConfig::baseline_512().with_lifetimes();
-    // One run only, but routing it through the executor keeps every
-    // figure on the same submission path.
-    runner.prefetch(&[RunKey {
-        workload: WorkloadId::Bfs,
-        config: cfg,
-        scale,
-        seed,
-    }]);
     let rep = runner.run(WorkloadId::Bfs, cfg, scale, seed);
     let curves = rep.mem.lifetimes.expect("lifetime tracking enabled");
     let at = |cdf: &[f64], ns: f64| {

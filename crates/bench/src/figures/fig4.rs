@@ -50,21 +50,10 @@ pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig4 {
     ));
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
-        let ideal = runner
-            .run(id, SystemConfig::ideal_mmu(), scale, seed)
-            .cycles as f64;
-        let small = safe_ratio(
-            runner
-                .run(id, SystemConfig::baseline_512(), scale, seed)
-                .cycles as f64,
-            ideal,
-        );
-        let large = safe_ratio(
-            runner
-                .run(id, SystemConfig::baseline_16k(), scale, seed)
-                .cycles as f64,
-            ideal,
-        );
+        let cycles = |cfg| runner.run(id, cfg, scale, seed).cycles as f64;
+        let ideal = cycles(SystemConfig::ideal_mmu());
+        let small = safe_ratio(cycles(SystemConfig::baseline_512()), ideal);
+        let large = safe_ratio(cycles(SystemConfig::baseline_16k()), ideal);
         rows.push(Row {
             workload: id.name().to_string(),
             small_iommu: small,

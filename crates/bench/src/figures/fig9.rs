@@ -38,17 +38,6 @@ pub struct Fig9 {
     pub fbt_second_level_hit_ratio: f64,
 }
 
-fn perf(
-    runner: &Runner,
-    id: WorkloadId,
-    cfg: SystemConfig,
-    ideal: f64,
-    scale: Scale,
-    seed: u64,
-) -> f64 {
-    safe_ratio(ideal, runner.run(id, cfg, scale, seed).cycles as f64)
-}
-
 fn avg_row(name: &str, rows: &[Row]) -> Row {
     Row {
         workload: name.to_string(),
@@ -80,21 +69,16 @@ pub fn collect(runner: &Runner, scale: Scale, seed: u64) -> Fig9 {
             .run(id, SystemConfig::ideal_mmu(), scale, seed)
             .cycles as f64;
         let vc_opt = runner.run(id, SystemConfig::vc_with_opt(), scale, seed);
+        let perf =
+            |cfg: SystemConfig| safe_ratio(ideal, runner.run(id, cfg, scale, seed).cycles as f64);
         fbt_ratios.push(vc_opt.mem.fbt_second_level_hit_ratio());
         all_rows.push((
             id,
             Row {
                 workload: id.name().to_string(),
-                baseline_512: perf(runner, id, SystemConfig::baseline_512(), ideal, scale, seed),
-                baseline_16k: perf(runner, id, SystemConfig::baseline_16k(), ideal, scale, seed),
-                vc_without_opt: perf(
-                    runner,
-                    id,
-                    SystemConfig::vc_without_opt(),
-                    ideal,
-                    scale,
-                    seed,
-                ),
+                baseline_512: perf(SystemConfig::baseline_512()),
+                baseline_16k: perf(SystemConfig::baseline_16k()),
+                vc_without_opt: perf(SystemConfig::vc_without_opt()),
                 vc_with_opt: safe_ratio(ideal, vc_opt.cycles as f64),
             },
         ));

@@ -2,8 +2,8 @@
 //! (`repro tenants`): worker-count invariance and stall-cycle
 //! conservation, plus a deterministic paranoid smoke run.
 //!
-//! The sweep bypasses the runner's memo cache entirely (cells are
-//! claimed off an atomic counter and assembled serially), so the only
+//! The sweep bypasses the runner's memo cache entirely (cells come
+//! back from `par_map_ordered` in cell order), so the only
 //! way worker count could leak into the output is a real determinism
 //! bug — exactly what these properties hunt for across the
 //! (tenant count × quantum × seed) space.
