@@ -139,4 +139,15 @@ if grep -rE 'NaN|Infinity' "$all_dir/A"; then
     exit 1
 fi
 
+echo "== benchmark package build + tests (release)"
+# benchmark/ is its own cargo workspace with path dependencies on
+# crates/*, so nothing above compiles it: an API change that breaks
+# the benchmark's build would otherwise pass CI. cargo rewrites
+# benchmark/Cargo.lock on the way (it drops a stale entry), so the
+# committed lockfile is saved and put back, even if the step fails.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -rf "$trace_dir" "$tenants_dir" "$soak_dir" "$reach_dir" "$all_dir" "$bench_lock"' EXIT
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "CI OK"

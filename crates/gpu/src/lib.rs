@@ -52,5 +52,5 @@ pub use service::{run_service, ServiceConfig, ServiceReport, TenantStats};
 pub use sim::{GpuConfig, GpuSim, RunReport, Truncation};
 pub use soak::{
     EpochPoint, SoakCheckpoint, SoakConfig, SoakReport, SoakSim, SoakTenantSnapshot,
-    SoakTenantStats, SOAK_CHECKPOINT_VERSION,
+    SOAK_CHECKPOINT_VERSION,
 };

@@ -24,6 +24,12 @@
 //! asserts the stall conservation law (per-tenant stall cycles sum to
 //! the aggregate).
 //!
+//! The scheduling loop is one private core (`Core`) that the soak
+//! ([`crate::soak`]) drives too: [`run_service`] gives every tenant a
+//! budget of [`ServiceConfig::kernels_per_tenant`] kernels and runs
+//! until all of them are done; the soak gives no budget and cuts the
+//! run into epochs.
+//!
 //! Everything is replayed byte-identically from
 //! [`ServiceConfig::seed`]: the simulation is single-threaded with a
 //! global monotone clock, and every random draw comes from per-tenant
@@ -102,7 +108,10 @@ pub struct TenantStats {
     /// Total translation/memory stall cycles (completion − issue,
     /// summed over the tenant's accesses).
     pub stall_cycles: u64,
-    /// p99 of the tenant's per-access stall latency.
+    /// p99 of the tenant's per-access stall latency: the exact
+    /// nearest-rank quantile in a [`ServiceReport`], a bucket upper
+    /// edge of the bounded histogram in a [`crate::SoakReport`] (see
+    /// [`gvc_engine::Histogram::quantile`]).
     pub p99_stall: f64,
     /// Times this tenant was evicted and respawned.
     pub evictions: u64,
@@ -152,31 +161,70 @@ impl ServiceReport {
     ///
     /// Panics if a stall cycle was attributed to no tenant or to two.
     pub fn check_stall_conservation(&self) {
-        let per_tenant: u64 = self.per_tenant.iter().map(|t| t.stall_cycles).sum();
-        assert_eq!(
-            per_tenant, self.aggregate_stall_cycles,
-            "stall conservation: per-tenant sum != aggregate"
-        );
-        let accesses: u64 = self.per_tenant.iter().map(|t| t.accesses).sum();
-        assert_eq!(
-            accesses, self.accesses,
-            "access conservation: per-tenant sum != aggregate"
-        );
+        check_tenant_sums(&self.per_tenant, self.aggregate_stall_cycles, self.accesses);
     }
 }
 
-/// Jain's fairness index over non-negative rates: `(Σx)² / (n·Σx²)`,
-/// 1.0 when all rates are equal, approaching `1/n` under starvation.
-pub(crate) fn jain_index(rates: &[f64]) -> f64 {
-    if rates.is_empty() {
-        return 1.0;
+/// Asserts that the per-tenant stall and access tallies sum to the
+/// independently accumulated aggregates.
+pub(crate) fn check_tenant_sums(per_tenant: &[TenantStats], stall_cycles: u64, accesses: u64) {
+    let tenant_stall: u64 = per_tenant.iter().map(|t| t.stall_cycles).sum();
+    assert_eq!(
+        tenant_stall, stall_cycles,
+        "stall conservation: per-tenant sum != aggregate"
+    );
+    let tenant_accesses: u64 = per_tenant.iter().map(|t| t.accesses).sum();
+    assert_eq!(
+        tenant_accesses, accesses,
+        "access conservation: per-tenant sum != aggregate"
+    );
+}
+
+/// Runs the multi-tenant service scenario for one design and returns
+/// its service-level report. `cfg.paranoid` additionally runs the
+/// cross-tenant isolation check after every eviction and the stall
+/// conservation law at the end.
+///
+/// # Panics
+///
+/// Panics if `sc.tenants` is 0 or exceeds the usable ASID namespace,
+/// if `sc.quantum` is 0, or on any paranoid-mode invariant violation.
+pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
+    let mut core = Core::new(sc, Some(sc.kernels_per_tenant), sys);
+    while core.has_work() {
+        core.slice();
     }
-    let sum: f64 = rates.iter().sum();
-    let sq: f64 = rates.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        return 1.0;
+    let paranoid = core.mem.config().paranoid;
+    if paranoid {
+        core.mem.check_invariants();
     }
-    (sum * sum) / (rates.len() as f64 * sq)
+    let cycles = core.end.max(core.now);
+    let mut all_stalls = Cdf::new();
+    let per_tenant = core.tenant_stats(|_, t| {
+        all_stalls.merge(&t.stalls);
+        t.stalls.quantile(0.99)
+    });
+
+    let report = ServiceReport {
+        design: core.design(),
+        tenants: sc.tenants,
+        quantum: sc.quantum,
+        cycles,
+        accesses: core.total_accesses,
+        throughput: core.total_accesses as f64 * 1000.0 / cycles.max(1) as f64,
+        aggregate_stall_cycles: core.aggregate_stall,
+        p99_stall: all_stalls.quantile(0.99),
+        fairness: fairness(&per_tenant),
+        evictions: core.evictions,
+        context_switches: core.context_switches,
+        faults: core.faults,
+        injected: core.plan.as_ref().map(InjectPlan::report),
+        per_tenant,
+    };
+    if paranoid {
+        report.check_stall_conservation();
+    }
+    report
 }
 
 /// Per-CU outstanding-request tracker (the L1 MSHR admission limit),
@@ -226,135 +274,183 @@ impl Outstanding {
 }
 
 /// One tenant's live scheduling state.
-struct Tenant {
-    pid: ProcessId,
-    region: VRange,
-    rng: SimRng,
-    /// Kernels not yet submitted.
-    kernels_left: u64,
+pub(crate) struct Tenant {
+    pub(crate) pid: ProcessId,
+    pub(crate) region: VRange,
+    pub(crate) rng: SimRng,
+    /// Kernels not yet submitted; `None` for a soak tenant, which
+    /// submits kernels forever.
+    pub(crate) kernels_left: Option<u64>,
     /// Wavefronts left in the in-flight kernel (0 = between kernels).
-    waves_left: u64,
+    pub(crate) waves_left: u64,
     /// Accesses left in the in-flight wavefront.
-    accesses_left: u64,
+    pub(crate) accesses_left: u64,
     /// Earliest cycle the next kernel may start (arrival gate).
-    next_arrival: u64,
-    accesses: u64,
-    stall_cycles: u64,
-    stalls: Cdf,
-    evictions: u64,
+    pub(crate) next_arrival: u64,
+    pub(crate) accesses: u64,
+    pub(crate) stall_cycles: u64,
+    /// Per-access stall samples since the last epoch close. The
+    /// service never closes an epoch, so its window holds every sample.
+    pub(crate) stalls: Cdf,
+    pub(crate) evictions: u64,
 }
 
 impl Tenant {
+    /// Whether the tenant may still submit a kernel.
+    fn has_kernels(&self) -> bool {
+        self.kernels_left != Some(0)
+    }
+
     /// Whether the tenant still has work (submitted or queued).
     fn has_work(&self) -> bool {
-        self.kernels_left > 0 || self.waves_left > 0
+        self.has_kernels() || self.waves_left > 0
     }
 
     /// Whether the tenant can issue at `now`.
     fn runnable(&self, now: u64) -> bool {
-        self.waves_left > 0 || (self.kernels_left > 0 && self.next_arrival <= now)
+        self.waves_left > 0 || (self.has_kernels() && self.next_arrival <= now)
     }
 }
 
-/// Runs the multi-tenant service scenario for one design and returns
-/// its service-level report. `cfg.paranoid` additionally runs the
-/// cross-tenant isolation check after every eviction and the stall
-/// conservation law at the end.
-///
-/// # Panics
-///
-/// Panics if `sc.tenants` is 0 or exceeds the usable ASID namespace,
-/// or on any paranoid-mode invariant violation.
-pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
-    assert!(sc.tenants > 0, "a service needs at least one tenant");
-    assert!(
-        sc.tenants <= gvc_mem::os::MAX_PROCESSES,
-        "tenant count exceeds the ASID namespace"
-    );
-    let paranoid = sys.paranoid;
-    let n_cus = sys.n_cus;
-    let mut plan = inject::plan_for(&sys);
-    let mut mem = MemorySystem::new(sys);
+/// The round-robin scheduling core that [`run_service`] and
+/// [`crate::soak::SoakSim`] both drive: the memory system, the OS, the
+/// injection plan, the tenants, the per-CU admission limiters, the
+/// clock and the cumulative counters. Each [`Core::slice`] call is one
+/// scheduling step.
+pub(crate) struct Core {
+    pub(crate) sc: ServiceConfig,
+    pub(crate) mem: MemorySystem,
+    pub(crate) os: OsLite,
+    pub(crate) plan: Option<InjectPlan>,
+    pub(crate) tenants: Vec<Tenant>,
+    pub(crate) outstanding: Vec<Outstanding>,
+    pub(crate) now: u64,
+    /// Latest access completion seen.
+    pub(crate) end: u64,
+    /// The active tenant (round-robin cursor).
+    pub(crate) active: Option<usize>,
+    /// Kernel completions across the service (churn counter).
+    pub(crate) completions: u64,
+    pub(crate) evictions: u64,
+    pub(crate) context_switches: u64,
+    pub(crate) faults: u64,
+    /// Sum of every access's stall, accumulated independently of the
+    /// per-tenant tallies.
+    pub(crate) aggregate_stall: u64,
+    pub(crate) total_accesses: u64,
+}
 
-    // Enough lazy physical memory for every tenant's working set plus
-    // page-table nodes, with headroom for churn-respawned regions.
-    let frames = sc.tenants as u64 * (sc.pages_per_tenant + 16) * 4 + 4096;
-    let mut os = OsLite::new(frames * PAGE_BYTES);
+impl Core {
+    /// Spawns `sc.tenants` tenants at cycle 0, each with a budget of
+    /// `kernels` (`None` = unbounded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sc.tenants` is 0 or exceeds the usable ASID
+    /// namespace, or if `sc.quantum` is 0.
+    pub(crate) fn new(sc: &ServiceConfig, kernels: Option<u64>, sys: SystemConfig) -> Self {
+        assert!(sc.tenants > 0, "a service needs at least one tenant");
+        assert!(
+            sc.tenants <= gvc_mem::os::MAX_PROCESSES,
+            "tenant count exceeds the ASID namespace"
+        );
+        assert!(sc.quantum > 0, "the scheduler quantum must be nonzero");
+        let n_cus = sys.n_cus;
+        let plan = inject::plan_for(&sys);
+        let mem = MemorySystem::new(sys);
 
-    let root = SimRng::seeded(sc.seed);
-    let mut tenants: Vec<Tenant> = (0..sc.tenants)
-        .map(|i| {
-            let mut rng = root.fork(i as u64 + 1);
-            let pid = os
-                .try_create_process()
-                .expect("tenant count checked against the namespace");
-            let region = os
-                .mmap(pid, sc.pages_per_tenant * PAGE_BYTES, Perms::READ_WRITE)
-                .expect("sized physical memory above");
-            let first_arrival = rng.below(sc.mean_arrival_gap.max(1));
-            Tenant {
-                pid,
-                region,
-                rng,
-                kernels_left: sc.kernels_per_tenant,
-                waves_left: 0,
-                accesses_left: 0,
-                next_arrival: first_arrival,
-                accesses: 0,
-                stall_cycles: 0,
-                stalls: Cdf::new(),
-                evictions: 0,
-            }
-        })
-        .collect();
+        // Enough lazy physical memory for every tenant's working set
+        // plus page-table nodes, with headroom for churn-respawned
+        // regions.
+        let frames = sc.tenants as u64 * (sc.pages_per_tenant + 16) * 4 + 4096;
+        let mut os = OsLite::new(frames * PAGE_BYTES);
 
-    let cap = sc.max_outstanding_per_cu.max(1);
-    let mut outstanding: Vec<Outstanding> = (0..n_cus).map(|_| Outstanding::default()).collect();
-    let mut now = 0u64;
-    let mut end = 0u64;
-    let mut active: Option<usize> = None;
-    let mut completions = 0u64;
-    let mut evictions = 0u64;
-    let mut context_switches = 0u64;
-    let mut faults = 0u64;
-    let mut aggregate_stall = 0u64;
-    let mut total_accesses = 0u64;
+        let root = SimRng::seeded(sc.seed);
+        let tenants = (0..sc.tenants)
+            .map(|i| {
+                let mut rng = root.fork(i as u64 + 1);
+                let (pid, region) = spawn(&mut os, sc);
+                let first_arrival = rng.below(sc.mean_arrival_gap.max(1));
+                Tenant {
+                    pid,
+                    region,
+                    rng,
+                    kernels_left: kernels,
+                    waves_left: 0,
+                    accesses_left: 0,
+                    next_arrival: first_arrival,
+                    accesses: 0,
+                    stall_cycles: 0,
+                    stalls: Cdf::new(),
+                    evictions: 0,
+                }
+            })
+            .collect();
 
-    loop {
-        // Pick the next runnable tenant, round-robin from the last
-        // active one; if every tenant with work is gated on an arrival,
-        // jump the clock to the earliest gate.
-        if !tenants.iter().any(Tenant::has_work) {
-            break;
+        Core {
+            sc: *sc,
+            mem,
+            os,
+            plan,
+            tenants,
+            outstanding: (0..n_cus).map(|_| Outstanding::default()).collect(),
+            now: 0,
+            end: 0,
+            active: None,
+            completions: 0,
+            evictions: 0,
+            context_switches: 0,
+            faults: 0,
+            aggregate_stall: 0,
+            total_accesses: 0,
         }
-        let start = active.map_or(0, |a| a + 1);
-        let next = (0..sc.tenants)
-            .map(|i| (start + i) % sc.tenants)
-            .find(|&i| tenants[i].runnable(now));
+    }
+
+    /// Whether any tenant still has work (always, without a budget).
+    pub(crate) fn has_work(&self) -> bool {
+        self.tenants.iter().any(Tenant::has_work)
+    }
+
+    /// One scheduling step: picks the next runnable tenant round-robin
+    /// from the last active one and runs it for one quantum, or, if
+    /// every tenant with work is gated on an arrival, jumps the clock
+    /// to the earliest gate.
+    pub(crate) fn slice(&mut self) {
+        let sc = self.sc;
+        let n = sc.tenants;
+        let start = self.active.map_or(0, |a| a + 1);
+        let next = (0..n)
+            .map(|i| (start + i) % n)
+            .find(|&i| self.tenants[i].runnable(self.now));
         let Some(idx) = next else {
-            now = tenants
+            self.now = self
+                .tenants
                 .iter()
                 .filter(|t| t.has_work())
                 .map(|t| t.next_arrival)
                 .min()
                 .expect("some tenant has work")
-                .max(now + 1);
-            continue;
+                .max(self.now + 1);
+            return;
         };
-        if active.is_some() && active != Some(idx) {
-            now += sc.context_switch_cycles;
-            context_switches += 1;
+        if self.active.is_some() && self.active != Some(idx) {
+            self.now += sc.context_switch_cycles;
+            self.context_switches += 1;
         }
-        active = Some(idx);
+        self.active = Some(idx);
 
-        let slice_end = now + sc.quantum;
-        while now < slice_end {
-            let t = &mut tenants[idx];
+        let cap = sc.max_outstanding_per_cu.max(1);
+        let n_cus = self.outstanding.len() as u64;
+        let slice_end = self.now + sc.quantum;
+        while self.now < slice_end {
+            let t = &mut self.tenants[idx];
             if t.waves_left == 0 {
-                if t.kernels_left == 0 || t.next_arrival > now {
+                if !t.has_kernels() || t.next_arrival > self.now {
                     break;
                 }
-                t.kernels_left -= 1;
+                if let Some(k) = t.kernels_left.as_mut() {
+                    *k -= 1;
+                }
                 t.waves_left = sc.waves_per_kernel.max(1);
                 t.accesses_left = sc.accesses_per_wave.max(1);
             }
@@ -362,35 +458,36 @@ pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
             // Issue one coalesced line access for the active tenant.
             let lines = t.region.bytes() / LINE_BYTES;
             let offset = t.rng.below(lines) * LINE_BYTES;
-            let cu = t.rng.below(n_cus as u64) as usize;
+            let cu = t.rng.below(n_cus) as usize;
             let is_write = t.rng.chance(sc.write_fraction);
-            let at = outstanding[cu].admit(Cycle::new(now + 1), cap);
-            now = at.raw();
+            let at = self.outstanding[cu].admit(Cycle::new(self.now + 1), cap);
+            self.now = at.raw();
             let asid = t.pid.asid();
-            if let Some(p) = plan.as_mut() {
-                p.observe(asid, t.region.addr_at(offset).vpn());
+            let vaddr = t.region.addr_at(offset);
+            if let Some(p) = self.plan.as_mut() {
+                p.observe(asid, vaddr.vpn());
             }
-            let res = mem.access(
+            let res = self.mem.access(
                 LineAccess {
                     cu,
                     asid,
-                    vaddr: t.region.addr_at(offset),
+                    vaddr,
                     is_write,
                     at,
                 },
-                &os,
+                &self.os,
             );
             if res.fault.is_some() {
-                faults += 1;
+                self.faults += 1;
             }
-            outstanding[cu].track(res.done_at);
-            end = end.max(res.done_at.raw());
+            self.outstanding[cu].track(res.done_at);
+            self.end = self.end.max(res.done_at.raw());
             let stall = res.done_at.raw() - at.raw();
             t.accesses += 1;
             t.stall_cycles += stall;
             t.stalls.push(stall as f64);
-            total_accesses += 1;
-            aggregate_stall += stall;
+            self.total_accesses += 1;
+            self.aggregate_stall += stall;
 
             t.accesses_left -= 1;
             if t.accesses_left == 0 {
@@ -399,108 +496,104 @@ pub fn run_service(sc: &ServiceConfig, sys: SystemConfig) -> ServiceReport {
                     t.accesses_left = sc.accesses_per_wave.max(1);
                 } else {
                     // Kernel complete: schedule the next submission and
-                    // run the churn policy.
-                    completions += 1;
+                    // run the churn policy (a tenant whose budget is
+                    // spent is never respawned).
+                    self.completions += 1;
                     let gap = t.rng.range(1, 2 * sc.mean_arrival_gap.max(1));
-                    t.next_arrival = now + gap;
+                    t.next_arrival = self.now + gap;
                     if sc.churn_period > 0
-                        && completions.is_multiple_of(sc.churn_period)
-                        && t.kernels_left > 0
+                        && self.completions.is_multiple_of(sc.churn_period)
+                        && t.has_kernels()
                     {
-                        evict_and_respawn(
-                            &mut tenants[idx],
-                            &mut os,
-                            &mut mem,
-                            sc,
-                            Cycle::new(now),
-                            paranoid,
-                        );
-                        evictions += 1;
+                        self.evict_and_respawn(idx);
                     }
                 }
             }
 
-            if let Some(p) = plan.as_mut() {
+            if let Some(p) = self.plan.as_mut() {
                 if let Some(ev) = p.poll() {
-                    apply_inject(ev, p, &mut os, &mut mem, Cycle::new(now));
+                    apply_inject(ev, p, &mut self.os, &mut self.mem, Cycle::new(self.now));
                 }
             }
         }
     }
 
-    if paranoid {
-        mem.check_invariants();
+    /// Destroys a tenant's process, applies the full shootdown,
+    /// verifies (under paranoid mode) that no state tagged with the
+    /// dead ASID survived, and respawns the tenant under the recycled
+    /// ASID with a fresh working set.
+    fn evict_and_respawn(&mut self, idx: usize) {
+        let t = &mut self.tenants[idx];
+        let dead = t.pid.asid();
+        let sd = self
+            .os
+            .destroy_process(t.pid)
+            .expect("tenant process is live");
+        self.mem.apply_shootdown(&sd, Cycle::new(self.now));
+        if self.mem.config().paranoid {
+            // The cross-tenant isolation check: anything still tagged
+            // with the dead ASID is state the respawned tenant could hit.
+            self.mem.assert_no_asid_residue(dead);
+        }
+        (t.pid, t.region) = spawn(&mut self.os, &self.sc);
+        debug_assert_eq!(t.pid.asid(), dead, "LIFO recycling reuses the dead ASID");
+        t.evictions += 1;
+        self.evictions += 1;
     }
-    let end = end.max(now);
-    let mem_report = mem.finish(Cycle::new(end));
 
-    let mut all_stalls = Cdf::new();
-    let mut rates = Vec::with_capacity(sc.tenants);
-    let per_tenant: Vec<TenantStats> = tenants
-        .iter_mut()
-        .map(|t| {
-            all_stalls.merge(&t.stalls);
-            rates.push(t.accesses as f64 / (1.0 + t.stall_cycles as f64));
-            TenantStats {
+    /// The memory-system design label.
+    pub(crate) fn design(&self) -> String {
+        self.mem.config().label().to_string()
+    }
+
+    /// Per-tenant statistics, with each tenant's p99 taken by `p99`.
+    pub(crate) fn tenant_stats(
+        &mut self,
+        mut p99: impl FnMut(usize, &mut Tenant) -> f64,
+    ) -> Vec<TenantStats> {
+        self.tenants
+            .iter_mut()
+            .enumerate()
+            .map(|(i, t)| TenantStats {
                 asid: t.pid.asid().0,
                 accesses: t.accesses,
                 stall_cycles: t.stall_cycles,
-                p99_stall: t.stalls.quantile(0.99),
+                p99_stall: p99(i, t),
                 evictions: t.evictions,
-            }
-        })
-        .collect();
-
-    let report = ServiceReport {
-        design: mem_report.design.clone(),
-        tenants: sc.tenants,
-        quantum: sc.quantum,
-        cycles: end,
-        accesses: total_accesses,
-        throughput: total_accesses as f64 * 1000.0 / end.max(1) as f64,
-        aggregate_stall_cycles: aggregate_stall,
-        p99_stall: all_stalls.quantile(0.99),
-        fairness: jain_index(&rates),
-        evictions,
-        context_switches,
-        faults,
-        injected: plan.as_ref().map(InjectPlan::report),
-        per_tenant,
-    };
-    if paranoid {
-        report.check_stall_conservation();
+            })
+            .collect()
     }
-    report
 }
 
-/// Destroys a tenant's process, applies the full shootdown, verifies
-/// (under paranoid mode) that no state tagged with the dead ASID
-/// survived, and respawns the tenant under the recycled ASID with a
-/// fresh working set.
-fn evict_and_respawn(
-    t: &mut Tenant,
-    os: &mut OsLite,
-    mem: &mut MemorySystem,
-    sc: &ServiceConfig,
-    now: Cycle,
-    paranoid: bool,
-) {
-    let dead = t.pid.asid();
-    let sd = os.destroy_process(t.pid).expect("tenant process is live");
-    mem.apply_shootdown(&sd, now);
-    if paranoid {
-        // The cross-tenant isolation check: anything still tagged with
-        // the dead ASID is state the respawned tenant could hit.
-        mem.assert_no_asid_residue(dead);
-    }
-    t.pid = os
+/// Creates a tenant process and maps its working set (ASIDs recycle
+/// LIFO, so a respawn lands in the slot its eviction just freed).
+fn spawn(os: &mut OsLite, sc: &ServiceConfig) -> (ProcessId, VRange) {
+    let pid = os
         .try_create_process()
-        .expect("the destroyed slot was just freed");
-    debug_assert_eq!(t.pid.asid(), dead, "LIFO recycling reuses the dead ASID");
-    t.region = os
-        .mmap(t.pid, sc.pages_per_tenant * PAGE_BYTES, Perms::READ_WRITE)
-        .expect("eviction freed at least the respawn's frames");
-    t.evictions += 1;
+        .expect("tenant count checked against the namespace");
+    let region = os
+        .mmap(pid, sc.pages_per_tenant * PAGE_BYTES, Perms::READ_WRITE)
+        .expect("physical memory is sized for every working set");
+    (pid, region)
+}
+
+/// Jain's fairness index over the tenants' service rates (accesses
+/// per stall cycle): `(Σx)² / (n·Σx²)`, 1.0 when all rates are equal,
+/// approaching `1/n` under starvation.
+pub(crate) fn fairness(per_tenant: &[TenantStats]) -> f64 {
+    let rates: Vec<f64> = per_tenant
+        .iter()
+        .map(|t| t.accesses as f64 / (1.0 + t.stall_cycles as f64))
+        .collect();
+    if rates.is_empty() {
+        return 1.0;
+    }
+    let sum: f64 = rates.iter().sum();
+    let sq: f64 = rates.iter().map(|x| x * x).sum();
+    if sq == 0.0 {
+        return 1.0;
+    }
+    (sum * sum) / (rates.len() as f64 * sq)
 }
 
 /// Executes one injected event against the live hierarchy/OS and
@@ -630,9 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn quantum_zero_is_effectively_one_access_slices() {
-        // A tiny quantum forces a context switch at nearly every slice;
-        // the run must still complete and stay conservative.
+    fn one_cycle_quantum_still_completes_and_conserves() {
+        // A one-cycle quantum forces a context switch at nearly every
+        // slice; the run must still complete and stay conservative.
         let sc = ServiceConfig {
             quantum: 1,
             ..small()
@@ -640,6 +733,19 @@ mod tests {
         let rep = run_service(&sc, SystemConfig::baseline_512().with_paranoid());
         assert_eq!(rep.accesses, 4 * 2 * 2 * 16);
         assert!(rep.context_switches >= rep.evictions);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must be nonzero")]
+    fn zero_quantum_is_rejected() {
+        // A zero quantum would run no access and charge no context
+        // switch, so a lone tenant would spin forever.
+        let sc = ServiceConfig {
+            tenants: 1,
+            quantum: 0,
+            ..small()
+        };
+        run_service(&sc, SystemConfig::baseline_512());
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Long-horizon soak harness: the multi-tenant service loop of
-//! [`crate::service`], restructured into **epochs** so it can run for
-//! billions of simulated cycles with bounded resident memory and be
-//! checkpointed, killed, and resumed byte-identically.
+//! Long-horizon soak harness: the multi-tenant service core of
+//! [`crate::service`] with no kernel budget, cut into **epochs** so it
+//! can run for billions of simulated cycles with bounded resident
+//! memory and be checkpointed, killed, and resumed byte-identically.
 //!
-//! Differences from [`crate::service::run_service`]:
+//! Scheduling, arrivals and churn are the service's; the soak's tenants
+//! submit kernels forever and the run ends at a configured cycle
+//! horizon ([`SoakConfig::horizon_epochs`] × [`SoakConfig::epoch_cycles`]).
+//! The epochs add two things:
 //!
-//! * **Unbounded work** — tenants submit kernels forever; the run ends
-//!   at a configured cycle horizon ([`SoakConfig::horizon_epochs`] ×
-//!   [`SoakConfig::epoch_cycles`]), not when a kernel budget drains.
-//! * **Epoch-windowed stats** — raw per-access samples live only
-//!   within the current epoch. At every epoch boundary they are
-//!   spilled into exactly-mergeable sketches ([`Histogram`] for stall
-//!   latencies, [`RateAccum`] for the IOMMU access rate), so resident
-//!   stats memory is bounded by one epoch's access count regardless of
-//!   the horizon. Spilling happens at *every* boundary — never only
-//!   when a checkpoint is due — so the accumulation schedule of an
-//!   interrupted run is identical to an uninterrupted one.
+//! * **Epoch-windowed stats** — each tenant's raw per-access stall
+//!   samples live only within the current epoch. At every epoch
+//!   boundary they are spilled into exactly-mergeable sketches
+//!   ([`Histogram`] for stall latencies, [`RateAccum`] for the IOMMU
+//!   access rate), so resident stats memory is bounded by one epoch's
+//!   access count regardless of the horizon. Spilling happens at
+//!   *every* boundary — never only when a checkpoint is due — so the
+//!   accumulation schedule of an interrupted run is identical to an
+//!   uninterrupted one.
 //! * **Checkpointable** — [`SoakSim::snapshot`] captures the complete
 //!   simulation state (memory system, OS, tenants, RNG streams,
 //!   injection cursors, admission heaps, spilled accumulators) as a
@@ -30,13 +31,17 @@
 //! stall/access conservation laws across the spill pipeline: nothing
 //! recorded per-access may go missing on its way through the epoch
 //! sketches.
+//!
+//! [`MemorySystem::check_invariants`]: gvc::MemorySystem::check_invariants
 
-use crate::service::{apply_inject, jain_index, Outstanding};
-use gvc::{inject, InjectPlan, InjectPlanSnapshot, InjectReport};
-use gvc::{LineAccess, MemSystemSnapshot, MemorySystem, SystemConfig};
+use crate::service::{
+    check_tenant_sums, fairness, Core, Outstanding, ServiceConfig, Tenant, TenantStats,
+};
+use gvc::{InjectPlan, InjectPlanSnapshot, InjectReport};
+use gvc::{MemSystemSnapshot, SystemConfig};
 use gvc_engine::time::Cycle;
 use gvc_engine::{Cdf, Histogram, IntervalSummary, RateAccum, RngSnapshot, SimRng};
-use gvc_mem::{OsLite, OsSnapshot, Perms, ProcessId, VRange, LINE_BYTES, PAGE_BYTES};
+use gvc_mem::{OsSnapshot, ProcessId, VRange};
 use serde::{Deserialize, Serialize};
 
 /// Version tag of the [`SoakCheckpoint`] schema; bump on any layout
@@ -99,32 +104,24 @@ impl Default for SoakConfig {
     }
 }
 
-/// One tenant's live soak state. Unlike the service tenant there is no
-/// kernel budget, and per-access stall samples live in an epoch-local
-/// [`Cdf`] that is folded into the bounded cumulative [`Histogram`] at
-/// every epoch boundary.
-struct SoakTenant {
-    pid: ProcessId,
-    region: VRange,
-    rng: SimRng,
-    /// Wavefronts left in the in-flight kernel (0 = between kernels).
-    waves_left: u64,
-    /// Accesses left in the in-flight wavefront.
-    accesses_left: u64,
-    /// Earliest cycle the next kernel may start.
-    next_arrival: u64,
-    accesses: u64,
-    stall_cycles: u64,
-    /// Cumulative, exactly-mergeable stall-latency sketch.
-    stall_hist: Histogram,
-    evictions: u64,
-}
-
-impl SoakTenant {
-    /// Whether the tenant can issue at `now` (soak tenants always have
-    /// queued work; only the arrival gate can stall them).
-    fn runnable(&self, now: u64) -> bool {
-        self.waves_left > 0 || self.next_arrival <= now
+impl SoakConfig {
+    /// The scheduling shape shared with the service. A soak has no
+    /// kernel budget, so `kernels_per_tenant` is unused.
+    fn service(&self) -> ServiceConfig {
+        ServiceConfig {
+            tenants: self.tenants,
+            quantum: self.quantum,
+            context_switch_cycles: self.context_switch_cycles,
+            kernels_per_tenant: 0,
+            waves_per_kernel: self.waves_per_kernel,
+            accesses_per_wave: self.accesses_per_wave,
+            pages_per_tenant: self.pages_per_tenant,
+            churn_period: self.churn_period,
+            mean_arrival_gap: self.mean_arrival_gap,
+            write_fraction: self.write_fraction,
+            max_outstanding_per_cu: self.max_outstanding_per_cu,
+            seed: self.seed,
+        }
     }
 }
 
@@ -141,22 +138,6 @@ pub struct EpochPoint {
     /// p99 stall latency over the epoch's accesses.
     pub p99_stall: f64,
     /// Tenant evictions during the epoch.
-    pub evictions: u64,
-}
-
-/// Per-tenant end-of-soak statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SoakTenantStats {
-    /// The tenant's final ASID.
-    pub asid: u16,
-    /// Line accesses the tenant issued.
-    pub accesses: u64,
-    /// Total stall cycles.
-    pub stall_cycles: u64,
-    /// p99 stall latency from the tenant's bounded histogram sketch
-    /// (a conservative bucket upper edge; see [`Histogram::quantile`]).
-    pub p99_stall: f64,
-    /// Times the tenant was evicted and respawned.
     pub evictions: u64,
 }
 
@@ -203,7 +184,7 @@ pub struct SoakReport {
     /// Per-epoch long-horizon curve.
     pub epoch_curve: Vec<EpochPoint>,
     /// Per-tenant breakdown.
-    pub per_tenant: Vec<SoakTenantStats>,
+    pub per_tenant: Vec<TenantStats>,
 }
 
 impl SoakReport {
@@ -217,16 +198,7 @@ impl SoakReport {
     /// Panics if any sample was lost or double-counted on its way
     /// through an epoch boundary.
     pub fn check_conservation(&self) {
-        let per_tenant_stall: u64 = self.per_tenant.iter().map(|t| t.stall_cycles).sum();
-        assert_eq!(
-            per_tenant_stall, self.aggregate_stall_cycles,
-            "stall conservation: per-tenant sum != aggregate"
-        );
-        let per_tenant_accesses: u64 = self.per_tenant.iter().map(|t| t.accesses).sum();
-        assert_eq!(
-            per_tenant_accesses, self.accesses,
-            "access conservation: per-tenant sum != aggregate"
-        );
+        check_tenant_sums(&self.per_tenant, self.aggregate_stall_cycles, self.accesses);
         let curve_accesses: u64 = self.epoch_curve.iter().map(|e| e.accesses).sum();
         assert_eq!(
             curve_accesses, self.accesses,
@@ -326,30 +298,14 @@ pub struct SoakCheckpoint {
 /// [`SoakSim::finish`].
 pub struct SoakSim {
     cfg: SoakConfig,
-    paranoid: bool,
-    n_cus: usize,
-    mem: MemorySystem,
-    os: OsLite,
-    plan: Option<InjectPlan>,
-    tenants: Vec<SoakTenant>,
-    outstanding: Vec<Outstanding>,
-    now: u64,
-    end: u64,
-    active: Option<usize>,
-    completions: u64,
-    evictions: u64,
-    context_switches: u64,
-    faults: u64,
-    aggregate_stall: u64,
-    total_accesses: u64,
+    core: Core,
     /// Epochs closed so far.
     epoch: u64,
-    /// Epoch-local raw stall samples (cleared at every boundary).
-    epoch_stalls: Cdf,
-    /// Epoch-local tallies for the curve point.
-    epoch_accesses: u64,
-    epoch_stall_cycles: u64,
-    epoch_evictions: u64,
+    /// The cumulative counters at the last epoch close; the open
+    /// epoch's curve point is their delta.
+    closed: Tally,
+    /// Per-tenant cumulative stall sketches.
+    tenant_hists: Vec<Histogram>,
     /// Spilled IOMMU rate history (complete intervals only).
     iommu_rate: RateAccum,
     /// Aggregate cumulative stall sketch.
@@ -358,85 +314,48 @@ pub struct SoakSim {
     epoch_curve: Vec<EpochPoint>,
 }
 
+/// The cumulative counters an [`EpochPoint`] is a delta of.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tally {
+    accesses: u64,
+    stall_cycles: u64,
+    evictions: u64,
+}
+
+impl Tally {
+    fn of(core: &Core) -> Self {
+        Tally {
+            accesses: core.total_accesses,
+            stall_cycles: core.aggregate_stall,
+            evictions: core.evictions,
+        }
+    }
+}
+
 impl SoakSim {
     /// Builds a soak simulation at cycle 0.
     ///
     /// # Panics
     ///
-    /// Panics on a zero tenant count, zero epoch length, zero horizon,
-    /// a tenant count exceeding the ASID namespace, or a system config
-    /// with lifetime tracking enabled (incompatible with bounded
-    /// checkpoints).
+    /// Panics on a zero tenant count, zero quantum, zero epoch length,
+    /// zero horizon, a tenant count exceeding the ASID namespace, or a
+    /// system config with lifetime tracking enabled (incompatible with
+    /// bounded checkpoints).
     pub fn new(cfg: &SoakConfig, sys: SystemConfig) -> Self {
-        assert!(cfg.tenants > 0, "a soak needs at least one tenant");
-        assert!(
-            cfg.tenants <= gvc_mem::os::MAX_PROCESSES,
-            "tenant count exceeds the ASID namespace"
-        );
         assert!(cfg.epoch_cycles > 0, "epoch length must be nonzero");
         assert!(cfg.horizon_epochs > 0, "horizon must be nonzero");
         assert!(
             !sys.track_lifetimes,
             "lifetime tracking holds unbounded samples; soak runs must not enable it"
         );
-        let paranoid = sys.paranoid;
-        let n_cus = sys.n_cus;
-        let plan = inject::plan_for(&sys);
-        let mem = MemorySystem::new(sys);
-        let interval = mem.iommu_sample_interval();
-
-        let frames = cfg.tenants as u64 * (cfg.pages_per_tenant + 16) * 4 + 4096;
-        let mut os = OsLite::new(frames * PAGE_BYTES);
-
-        let root = SimRng::seeded(cfg.seed);
-        let tenants: Vec<SoakTenant> = (0..cfg.tenants)
-            .map(|i| {
-                let mut rng = root.fork(i as u64 + 1);
-                let pid = os
-                    .try_create_process()
-                    .expect("tenant count checked against the namespace");
-                let region = os
-                    .mmap(pid, cfg.pages_per_tenant * PAGE_BYTES, Perms::READ_WRITE)
-                    .expect("sized physical memory above");
-                let first_arrival = rng.below(cfg.mean_arrival_gap.max(1));
-                SoakTenant {
-                    pid,
-                    region,
-                    rng,
-                    waves_left: 0,
-                    accesses_left: 0,
-                    next_arrival: first_arrival,
-                    accesses: 0,
-                    stall_cycles: 0,
-                    stall_hist: Histogram::new(),
-                    evictions: 0,
-                }
-            })
-            .collect();
-
+        let core = Core::new(&cfg.service(), None, sys);
+        let interval = core.mem.iommu_sample_interval();
         SoakSim {
             cfg: *cfg,
-            paranoid,
-            n_cus,
-            mem,
-            os,
-            plan,
-            tenants,
-            outstanding: (0..n_cus).map(|_| Outstanding::default()).collect(),
-            now: 0,
-            end: 0,
-            active: None,
-            completions: 0,
-            evictions: 0,
-            context_switches: 0,
-            faults: 0,
-            aggregate_stall: 0,
-            total_accesses: 0,
+            closed: Tally::of(&core),
+            core,
             epoch: 0,
-            epoch_stalls: Cdf::new(),
-            epoch_accesses: 0,
-            epoch_stall_cycles: 0,
-            epoch_evictions: 0,
+            tenant_hists: vec![Histogram::new(); cfg.tenants],
             iommu_rate: RateAccum::new(interval),
             stall_hist: Histogram::new(),
             epoch_curve: Vec::new(),
@@ -462,17 +381,26 @@ impl SoakSim {
     /// bounded-memory contract says this never exceeds one epoch's
     /// accesses and drops to zero at every boundary).
     pub fn resident_epoch_samples(&self) -> usize {
-        self.epoch_stalls.samples().len()
+        self.core.tenants.iter().map(|t| t.stalls.len()).sum()
     }
 
     /// Resident (unspilled) IOMMU rate-sampler intervals; bounded by
     /// one epoch's worth regardless of the horizon.
     pub fn resident_iommu_rate_intervals(&self) -> usize {
-        self.mem.resident_iommu_rate_intervals()
+        self.core.mem.resident_iommu_rate_intervals()
+    }
+
+    /// Whether the simulation sits at an epoch boundary: nothing has
+    /// been recorded since the last close.
+    fn at_boundary(&self) -> bool {
+        self.resident_epoch_samples() == 0 && Tally::of(&self.core) == self.closed
     }
 
     /// Runs until exactly one more epoch closes (spill, paranoid
     /// sweep, curve point). Returns `true` while more epochs remain.
+    /// A slice that crosses the boundary finishes its quantum; the
+    /// epoch closes before the next one starts, even when an idle
+    /// jump crosses several boundaries at once.
     ///
     /// # Panics
     ///
@@ -480,213 +408,82 @@ impl SoakSim {
     /// invariant violation.
     pub fn run_epoch(&mut self) -> bool {
         assert!(!self.done(), "soak already at its horizon");
-        let target = self.epoch + 1;
-        while self.epoch < target {
-            self.step();
+        let boundary = (self.epoch + 1) * self.cfg.epoch_cycles;
+        while self.core.now < boundary {
+            self.core.slice();
         }
+        self.close_epoch();
         !self.done()
     }
 
-    /// One scheduling step: either close a pending epoch boundary or
-    /// run one quantum slice for the next runnable tenant.
-    fn step(&mut self) {
-        let boundary = (self.epoch + 1) * self.cfg.epoch_cycles;
-        if self.now >= boundary {
-            self.close_epoch();
-            return;
-        }
-        // Pick the next runnable tenant, round-robin from the last
-        // active one; if every tenant is gated on an arrival, jump the
-        // clock to the earliest gate. (The boundary check at the top of
-        // the next step keeps epoch closing deterministic even when the
-        // clock jumps across one or more boundaries.)
-        let start = self.active.map_or(0, |a| a + 1);
-        let next = (0..self.cfg.tenants)
-            .map(|i| (start + i) % self.cfg.tenants)
-            .find(|&i| self.tenants[i].runnable(self.now));
-        let Some(idx) = next else {
-            self.now = self
-                .tenants
-                .iter()
-                .map(|t| t.next_arrival)
-                .min()
-                .expect("at least one tenant")
-                .max(self.now + 1);
-            return;
-        };
-        if self.active.is_some() && self.active != Some(idx) {
-            self.now += self.cfg.context_switch_cycles;
-            self.context_switches += 1;
-        }
-        self.active = Some(idx);
-
-        let cap = self.cfg.max_outstanding_per_cu.max(1);
-        let slice_end = self.now + self.cfg.quantum;
-        while self.now < slice_end {
-            let t = &mut self.tenants[idx];
-            if t.waves_left == 0 {
-                if t.next_arrival > self.now {
-                    break;
-                }
-                t.waves_left = self.cfg.waves_per_kernel.max(1);
-                t.accesses_left = self.cfg.accesses_per_wave.max(1);
-            }
-
-            // Issue one coalesced line access for the active tenant.
-            let lines = t.region.bytes() / LINE_BYTES;
-            let offset = t.rng.below(lines) * LINE_BYTES;
-            let cu = t.rng.below(self.n_cus as u64) as usize;
-            let is_write = t.rng.chance(self.cfg.write_fraction);
-            let at = self.outstanding[cu].admit(Cycle::new(self.now + 1), cap);
-            self.now = at.raw();
-            let asid = t.pid.asid();
-            if let Some(p) = self.plan.as_mut() {
-                p.observe(asid, t.region.addr_at(offset).vpn());
-            }
-            let res = self.mem.access(
-                LineAccess {
-                    cu,
-                    asid,
-                    vaddr: t.region.addr_at(offset),
-                    is_write,
-                    at,
-                },
-                &self.os,
-            );
-            if res.fault.is_some() {
-                self.faults += 1;
-            }
-            self.outstanding[cu].track(res.done_at);
-            self.end = self.end.max(res.done_at.raw());
-            let stall = res.done_at.raw() - at.raw();
-            t.accesses += 1;
-            t.stall_cycles += stall;
-            t.stall_hist.record(stall);
-            self.stall_hist.record(stall);
-            self.epoch_stalls.push(stall as f64);
-            self.epoch_accesses += 1;
-            self.epoch_stall_cycles += stall;
-            self.total_accesses += 1;
-            self.aggregate_stall += stall;
-
-            t.accesses_left -= 1;
-            if t.accesses_left == 0 {
-                t.waves_left -= 1;
-                if t.waves_left > 0 {
-                    t.accesses_left = self.cfg.accesses_per_wave.max(1);
-                } else {
-                    // Kernel complete: schedule the next submission and
-                    // run the churn policy.
-                    self.completions += 1;
-                    let gap = t.rng.range(1, 2 * self.cfg.mean_arrival_gap.max(1));
-                    t.next_arrival = self.now + gap;
-                    if self.cfg.churn_period > 0
-                        && self.completions.is_multiple_of(self.cfg.churn_period)
-                    {
-                        self.evict_and_respawn(idx);
-                        self.evictions += 1;
-                        self.epoch_evictions += 1;
-                    }
-                }
-            }
-
-            if let Some(p) = self.plan.as_mut() {
-                if let Some(ev) = p.poll() {
-                    apply_inject(ev, p, &mut self.os, &mut self.mem, Cycle::new(self.now));
-                }
-            }
-        }
-    }
-
-    /// Destroys a tenant's process, applies the full shootdown,
-    /// verifies (under paranoid mode) that no state tagged with the
-    /// dead ASID survived, and respawns the tenant under the recycled
-    /// ASID with a fresh working set.
-    fn evict_and_respawn(&mut self, idx: usize) {
-        let t = &mut self.tenants[idx];
-        let dead = t.pid.asid();
-        let sd = self
-            .os
-            .destroy_process(t.pid)
-            .expect("tenant process is live");
-        self.mem.apply_shootdown(&sd, Cycle::new(self.now));
-        if self.paranoid {
-            self.mem.assert_no_asid_residue(dead);
-        }
-        t.pid = self
-            .os
-            .try_create_process()
-            .expect("the destroyed slot was just freed");
-        debug_assert_eq!(t.pid.asid(), dead, "LIFO recycling reuses the dead ASID");
-        t.region = self
-            .os
-            .mmap(
-                t.pid,
-                self.cfg.pages_per_tenant * PAGE_BYTES,
-                Perms::READ_WRITE,
-            )
-            .expect("eviction freed at least the respawn's frames");
-        t.evictions += 1;
-    }
-
-    /// Closes the current epoch: records the curve point, spills the
-    /// epoch-local samples into the bounded sketches, spills the IOMMU
-    /// sampler, and (under paranoid mode) runs the full invariant
+    /// Closes the current epoch: spills every tenant's stall window
+    /// into the bounded sketches, records the curve point, spills the
+    /// IOMMU sampler, and (under paranoid mode) runs the full invariant
     /// sweep. Runs at *every* boundary so the accumulation schedule is
     /// independent of the checkpoint cadence.
     fn close_epoch(&mut self) {
         let boundary = (self.epoch + 1) * self.cfg.epoch_cycles;
+        let mut window = Cdf::new();
+        for (t, hist) in self.core.tenants.iter_mut().zip(&mut self.tenant_hists) {
+            let stalls = std::mem::take(&mut t.stalls);
+            for &stall in stalls.samples() {
+                hist.record(stall as u64);
+                self.stall_hist.record(stall as u64);
+            }
+            window.merge(&stalls);
+        }
+        let tally = Tally::of(&self.core);
         self.epoch_curve.push(EpochPoint {
             epoch: self.epoch,
-            accesses: self.epoch_accesses,
-            stall_cycles: self.epoch_stall_cycles,
-            p99_stall: self.epoch_stalls.quantile(0.99),
-            evictions: self.epoch_evictions,
+            accesses: tally.accesses - self.closed.accesses,
+            stall_cycles: tally.stall_cycles - self.closed.stall_cycles,
+            p99_stall: window.quantile(0.99),
+            evictions: tally.evictions - self.closed.evictions,
         });
-        self.epoch_stalls = Cdf::new();
-        self.epoch_accesses = 0;
-        self.epoch_stall_cycles = 0;
-        self.epoch_evictions = 0;
-        self.mem
+        self.closed = tally;
+        self.core
+            .mem
             .spill_iommu_rate(Cycle::new(boundary), &mut self.iommu_rate);
-        if self.paranoid {
-            self.mem.check_invariants();
+        if self.core.mem.config().paranoid {
+            self.core.mem.check_invariants();
         }
         self.epoch += 1;
     }
 
     /// Captures a complete, versioned checkpoint. Only valid at an
     /// epoch boundary (between [`SoakSim::run_epoch`] calls), where the
-    /// epoch-local sample window is empty by construction.
+    /// epoch-local sample windows are empty by construction.
     ///
     /// # Panics
     ///
     /// Panics if called mid-epoch.
     pub fn snapshot(&self) -> SoakCheckpoint {
         assert!(
-            self.epoch_stalls.samples().is_empty() && self.epoch_accesses == 0,
+            self.at_boundary(),
             "soak checkpoints are taken at epoch boundaries"
         );
+        let core = &self.core;
         SoakCheckpoint {
             version: SOAK_CHECKPOINT_VERSION,
             cfg: self.cfg,
             epoch: self.epoch,
-            now: self.now,
-            end: self.end,
-            active: self.active,
-            completions: self.completions,
-            evictions: self.evictions,
-            context_switches: self.context_switches,
-            faults: self.faults,
-            aggregate_stall: self.aggregate_stall,
-            total_accesses: self.total_accesses,
-            mem: self.mem.snapshot(),
-            os: self.os.snapshot(),
-            plan: self.plan.as_ref().map(InjectPlan::snapshot),
-            tenants: self
+            now: core.now,
+            end: core.end,
+            active: core.active,
+            completions: core.completions,
+            evictions: core.evictions,
+            context_switches: core.context_switches,
+            faults: core.faults,
+            aggregate_stall: core.aggregate_stall,
+            total_accesses: core.total_accesses,
+            mem: core.mem.snapshot(),
+            os: core.os.snapshot(),
+            plan: core.plan.as_ref().map(InjectPlan::snapshot),
+            tenants: core
                 .tenants
                 .iter()
-                .map(|t| SoakTenantSnapshot {
+                .zip(&self.tenant_hists)
+                .map(|(t, hist)| SoakTenantSnapshot {
                     asid: t.pid.asid().0,
                     region: t.region,
                     rng: t.rng.snapshot(),
@@ -695,11 +492,11 @@ impl SoakSim {
                     next_arrival: t.next_arrival,
                     accesses: t.accesses,
                     stall_cycles: t.stall_cycles,
-                    stall_hist: t.stall_hist.clone(),
+                    stall_hist: hist.clone(),
                     evictions: t.evictions,
                 })
                 .collect(),
-            outstanding: self
+            outstanding: core
                 .outstanding
                 .iter()
                 .map(Outstanding::to_sorted)
@@ -725,61 +522,61 @@ impl SoakSim {
             "soak checkpoint version mismatch"
         );
         assert_eq!(self.cfg, ckpt.cfg, "soak checkpoint config mismatch");
+        let core = &mut self.core;
         assert_eq!(
-            self.plan.is_some(),
+            core.plan.is_some(),
             ckpt.plan.is_some(),
             "soak checkpoint injection-plan presence mismatch"
         );
         assert_eq!(
-            self.tenants.len(),
+            core.tenants.len(),
             ckpt.tenants.len(),
             "soak checkpoint tenant count mismatch"
         );
         assert_eq!(
-            self.outstanding.len(),
+            core.outstanding.len(),
             ckpt.outstanding.len(),
             "soak checkpoint CU count mismatch"
         );
-        self.mem.restore(&ckpt.mem);
-        self.os.restore(&ckpt.os);
-        if let (Some(p), Some(s)) = (self.plan.as_mut(), ckpt.plan.as_ref()) {
+        core.mem.restore(&ckpt.mem);
+        core.os.restore(&ckpt.os);
+        if let (Some(p), Some(s)) = (core.plan.as_mut(), ckpt.plan.as_ref()) {
             p.restore(s);
         }
-        self.tenants = ckpt
+        core.tenants = ckpt
             .tenants
             .iter()
-            .map(|s| SoakTenant {
+            .map(|s| Tenant {
                 pid: ProcessId(s.asid),
                 region: s.region,
                 rng: SimRng::from_snapshot(s.rng),
+                kernels_left: None,
                 waves_left: s.waves_left,
                 accesses_left: s.accesses_left,
                 next_arrival: s.next_arrival,
                 accesses: s.accesses,
                 stall_cycles: s.stall_cycles,
-                stall_hist: s.stall_hist.clone(),
+                stalls: Cdf::new(),
                 evictions: s.evictions,
             })
             .collect();
-        self.outstanding = ckpt
+        core.outstanding = ckpt
             .outstanding
             .iter()
             .map(|v| Outstanding::from_sorted(v))
             .collect();
-        self.now = ckpt.now;
-        self.end = ckpt.end;
-        self.active = ckpt.active;
-        self.completions = ckpt.completions;
-        self.evictions = ckpt.evictions;
-        self.context_switches = ckpt.context_switches;
-        self.faults = ckpt.faults;
-        self.aggregate_stall = ckpt.aggregate_stall;
-        self.total_accesses = ckpt.total_accesses;
+        core.now = ckpt.now;
+        core.end = ckpt.end;
+        core.active = ckpt.active;
+        core.completions = ckpt.completions;
+        core.evictions = ckpt.evictions;
+        core.context_switches = ckpt.context_switches;
+        core.faults = ckpt.faults;
+        core.aggregate_stall = ckpt.aggregate_stall;
+        core.total_accesses = ckpt.total_accesses;
+        self.closed = Tally::of(core);
         self.epoch = ckpt.epoch;
-        self.epoch_stalls = Cdf::new();
-        self.epoch_accesses = 0;
-        self.epoch_stall_cycles = 0;
-        self.epoch_evictions = 0;
+        self.tenant_hists = ckpt.tenants.iter().map(|s| s.stall_hist.clone()).collect();
         self.iommu_rate = ckpt.iommu_rate.clone();
         self.stall_hist = ckpt.stall_hist.clone();
         self.epoch_curve = ckpt.epoch_curve.clone();
@@ -792,60 +589,48 @@ impl SoakSim {
     ///
     /// Panics if the horizon was not reached, or on a paranoid
     /// conservation violation.
-    pub fn finish(self) -> SoakReport {
+    pub fn finish(mut self) -> SoakReport {
         assert!(self.done(), "finish() before the soak horizon");
         let horizon = self.cfg.horizon_epochs * self.cfg.epoch_cycles;
-        let cycles = self.end.max(horizon);
-        let iommu_rate = self
+        let core = &mut self.core;
+        let cycles = core.end.max(horizon);
+        let iommu_rate = core
             .mem
             .iommu_rate_with(Cycle::new(cycles), &self.iommu_rate);
-        let mut rates = Vec::with_capacity(self.cfg.tenants);
-        let per_tenant: Vec<SoakTenantStats> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                rates.push(t.accesses as f64 / (1.0 + t.stall_cycles as f64));
-                SoakTenantStats {
-                    asid: t.pid.asid().0,
-                    accesses: t.accesses,
-                    stall_cycles: t.stall_cycles,
-                    p99_stall: t.stall_hist.quantile(0.99),
-                    evictions: t.evictions,
-                }
-            })
-            .collect();
+        let hists = &self.tenant_hists;
+        let per_tenant = core.tenant_stats(|i, _| hists[i].quantile(0.99));
         assert_eq!(
             self.stall_hist.count(),
-            self.total_accesses,
+            core.total_accesses,
             "histogram conservation: merged sketch lost samples"
         );
         assert_eq!(
             self.stall_hist.sum(),
-            self.aggregate_stall,
+            core.aggregate_stall,
             "histogram conservation: merged sketch lost stall cycles"
         );
         let report = SoakReport {
-            design: self.mem.config().label().to_string(),
+            design: core.design(),
             tenants: self.cfg.tenants,
             epochs: self.epoch,
             epoch_cycles: self.cfg.epoch_cycles,
             cycles,
-            accesses: self.total_accesses,
-            throughput: self.total_accesses as f64 * 1000.0 / cycles.max(1) as f64,
-            aggregate_stall_cycles: self.aggregate_stall,
+            accesses: core.total_accesses,
+            throughput: core.total_accesses as f64 * 1000.0 / cycles.max(1) as f64,
+            aggregate_stall_cycles: core.aggregate_stall,
             p99_stall: self.stall_hist.quantile(0.99),
             mean_stall: self.stall_hist.mean(),
-            fairness: jain_index(&rates),
-            evictions: self.evictions,
-            context_switches: self.context_switches,
-            faults: self.faults,
+            fairness: fairness(&per_tenant),
+            evictions: core.evictions,
+            context_switches: core.context_switches,
+            faults: core.faults,
             iommu_rate,
-            injected: self.plan.as_ref().map(InjectPlan::report),
+            injected: core.plan.as_ref().map(InjectPlan::report),
             truncated: false,
             epoch_curve: self.epoch_curve,
             per_tenant,
         };
-        if self.paranoid {
+        if core.mem.config().paranoid {
             report.check_conservation();
         }
         report
@@ -861,7 +646,7 @@ impl SoakSim {
     /// Panics if called mid-epoch.
     pub fn finish_truncated(mut self) -> SoakReport {
         assert!(
-            self.epoch_stalls.samples().is_empty() && self.epoch_accesses == 0,
+            self.at_boundary(),
             "truncated reports are cut at epoch boundaries"
         );
         // Pretend the horizon is the epochs actually completed; the
@@ -1029,6 +814,17 @@ mod tests {
         assert_eq!(rep.epochs, 2);
         assert_eq!(rep.epoch_curve.len(), 2);
         rep.check_conservation();
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must be nonzero")]
+    fn zero_quantum_is_rejected() {
+        let cfg = SoakConfig {
+            tenants: 1,
+            quantum: 0,
+            ..small()
+        };
+        SoakSim::new(&cfg, SystemConfig::vc_with_opt());
     }
 
     #[test]
