@@ -5,7 +5,7 @@
 //!    snapshot exactly, and the restored object behaves identically to
 //!    the original from that point on.
 //! 2. **Lossless text round-trip** — every checkpointed stat survives
-//!    `to_value → JSON text → parse → from_value` bit-for-bit (floats
+//!    `to_string_pretty → from_str → from_value` bit-for-bit (floats
 //!    print in shortest round-trip form, so this holds for `f64` too).
 //! 3. **Restored-stats merge equals uninterrupted** — a value stream
 //!    chopped into epoch-sized pieces, each flushed through a
@@ -17,9 +17,9 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// JSON text round-trip through the same path the soak checkpoint
-/// files take (`to_value → to_string_pretty → from_str → from_value`).
+/// files take (`to_string_pretty → from_str → from_value`).
 fn json_round_trip<T: Serialize + Deserialize>(x: &T) -> T {
-    let text = serde_json::to_string_pretty(&x.to_value()).expect("serialize");
+    let text = serde_json::to_string_pretty(x).expect("serialize");
     let value: serde::Value = serde_json::from_str(&text).expect("parse");
     T::from_value(&value).expect("deserialize")
 }

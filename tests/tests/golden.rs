@@ -32,9 +32,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Fingerprints the pretty JSON of `figure`, after checking that
+/// serializing it directly and serializing its `Value` tree give the
+/// same text.
 fn fingerprint<T: serde::Serialize>(figure: &T) -> u64 {
-    let value = figure.to_value();
-    let json = serde_json::to_string_pretty(&value).expect("serialize");
+    let json = serde_json::to_string_pretty(figure).expect("serialize");
+    let via_tree = serde_json::to_string_pretty(&figure.to_value()).expect("serialize");
+    assert!(
+        json == via_tree,
+        "direct and Value-tree JSON differ ({} vs {} bytes)",
+        json.len(),
+        via_tree.len()
+    );
     fnv1a(json.as_bytes())
 }
 

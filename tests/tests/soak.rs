@@ -46,6 +46,35 @@ fn tmp_dir(tag: &str) -> String {
     dir.to_str().expect("utf-8 temp dir").to_string()
 }
 
+/// The non-finite guard fires on a real checkpoint: a NaN in the
+/// state panics naming its `$` path, and nothing reaches the disk —
+/// neither the checkpoint nor its `.tmp` staging file.
+#[test]
+fn save_checkpoint_refuses_non_finite_numbers() {
+    let dir = tmp_dir("nan");
+    std::fs::create_dir_all(&dir).expect("create state dir");
+    let path = soak::checkpoint_path(&dir, "vc");
+    let mut ckpt = SoakSim::new(&small_cfg(), SystemConfig::vc_with_opt()).snapshot();
+    ckpt.cfg.write_fraction = f64::NAN;
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        soak::save_checkpoint(&path, &ckpt)
+    }))
+    .expect_err("a NaN checkpoint must not be saved");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(
+        msg.starts_with("soak checkpoint: non-finite number NaN at $.cfg.write_fraction "),
+        "{msg}"
+    );
+    assert!(!std::path::Path::new(&path).exists(), "checkpoint written");
+    assert!(
+        !std::path::Path::new(&format!("{path}.tmp")).exists(),
+        "staging file written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kill-and-resume across checkpoint cadences AND worker counts: the
 /// figure a resumed 4-worker run assembles must be byte-identical to a
 /// single-worker run that never stopped.
