@@ -26,7 +26,7 @@
 
 use gvc_bench::cli::{self, CliError, CliOptions};
 use gvc_bench::figures::*;
-use gvc_bench::{assert_json_finite, signals, soak, trace, Runner};
+use gvc_bench::{signals, soak, to_json_pretty_checked, trace, Runner};
 use std::fmt::Display;
 use std::time::Instant;
 
@@ -50,17 +50,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Renders one figure/table: prints the text form, checks the JSON
-/// tree for non-finite numbers, and (with `--json`) writes the pretty
-/// JSON.
+/// Renders one figure/table: checks its JSON for non-finite numbers,
+/// prints the text form, and (with `--json`) writes the pretty JSON.
 fn emit<T: serde::Serialize + Display>(name: &str, d: &T, json_dir: &Option<String>) {
-    let value = d.to_value();
-    assert_json_finite(name, &value);
+    let json = to_json_pretty_checked(name, d);
     println!("{d}");
     println!("{}", "-".repeat(72));
     if let Some(dir) = json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
-        let json = serde_json::to_string_pretty(&value).expect("json");
         std::fs::write(format!("{dir}/{name}.json"), json).expect("write json");
     }
 }
@@ -99,21 +96,13 @@ fn run_trace(opts: &CliOptions) {
             std::process::exit(1);
         }
     }
-    assert_json_finite("trace", &art.perfetto);
-    assert_json_finite("trace metrics", &art.metrics);
+    let perfetto = to_json_pretty_checked("trace", &art.perfetto);
+    let metrics = to_json_pretty_checked("trace metrics", &art.metrics);
     let dir = opts.json_dir.clone().unwrap_or_else(|| "results".into());
     std::fs::create_dir_all(&dir).expect("create output dir");
     let stem = format!("{dir}/trace_{}_{}", spec.design, spec.workload.name());
-    std::fs::write(
-        format!("{stem}.json"),
-        serde_json::to_string_pretty(&art.perfetto).expect("json"),
-    )
-    .expect("write trace json");
-    std::fs::write(
-        format!("{stem}_metrics.json"),
-        serde_json::to_string_pretty(&art.metrics).expect("json"),
-    )
-    .expect("write metrics json");
+    std::fs::write(format!("{stem}.json"), perfetto).expect("write trace json");
+    std::fs::write(format!("{stem}_metrics.json"), metrics).expect("write metrics json");
     println!("trace written to {stem}.json (+ _metrics.json)");
 }
 

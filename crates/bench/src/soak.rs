@@ -192,12 +192,10 @@ pub fn checkpoint_path(state_dir: &str, design: &str) -> String {
     format!("{state_dir}/soak_{design}.ckpt.json")
 }
 
-/// Writes a checkpoint atomically (tmp + rename) after guarding the
-/// JSON tree against non-finite numbers.
+/// Writes a checkpoint atomically (tmp + rename). A non-finite number
+/// in the state panics, naming its path, before anything is written.
 pub fn save_checkpoint(path: &str, ckpt: &SoakCheckpoint) -> Result<(), String> {
-    let value = ckpt.to_value();
-    crate::assert_json_finite("soak checkpoint", &value);
-    let json = serde_json::to_string_pretty(&value).map_err(|e| format!("{path}: {e}"))?;
+    let json = crate::to_json_pretty_checked("soak checkpoint", ckpt);
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, json).map_err(|e| format!("{tmp}: {e}"))?;
     std::fs::rename(&tmp, path).map_err(|e| format!("{path}: {e}"))
