@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One scratch directory for every smoke step below, one subdirectory a
+# step. cargo rewrites benchmark/Cargo.lock when it builds the
+# benchmark package (it drops a stale entry), so the committed lockfile
+# is saved here first and put back on exit, even if a step fails.
+work="$(mktemp -d)"
+cp benchmark/Cargo.lock "$work/benchmark.Cargo.lock"
+trap 'cp "$work/benchmark.Cargo.lock" benchmark/Cargo.lock; rm -rf "$work"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -40,8 +48,7 @@ echo "== trace export smoke (release)"
 # workload under the paranoid attribution check, twice at different
 # --jobs values; the artifacts must be byte-identical, valid JSON, and
 # contain no NaN/inf (the vendored serializer would emit null).
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
+trace_dir="$work/trace"
 ./target/release/repro trace vc bfs --scale test --paranoid --json "$trace_dir/a" --jobs 1
 ./target/release/repro trace vc bfs --scale test --paranoid --json "$trace_dir/b" --jobs 4
 cmp "$trace_dir/a/trace_vc_bfs.json" "$trace_dir/b/trace_vc_bfs.json"
@@ -61,8 +68,7 @@ echo "== multi-tenant service smoke (release)"
 # every eviction), twice at different --jobs values; the JSON must be
 # byte-identical — the sweep bypasses the memo cache, so any
 # divergence is a real determinism bug.
-tenants_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$tenants_dir"' EXIT
+tenants_dir="$work/tenants"
 ./target/release/repro tenants --tenants 8 --quantum 256 \
     --design baseline --design vc \
     --scale test --seed 7 --paranoid --json "$tenants_dir/a" --jobs 1
@@ -77,8 +83,7 @@ echo "== soak kill/resume smoke (release)"
 # on-disk checkpoint, and the resumed run's final report must be
 # byte-identical to an uninterrupted run of the same soak. The
 # checkpoint itself must re-parse and contain no non-finite numbers.
-soak_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$tenants_dir" "$soak_dir"' EXIT
+soak_dir="$work/soak"
 soak_flags=(--tenants 3 --epochs 6 --epoch-cycles 20000 --design vc
             --seed 9 --paranoid)
 ./target/release/repro soak "${soak_flags[@]}" --json "$soak_dir/clean"
@@ -111,8 +116,7 @@ echo "== reach figure smoke (release)"
 # presets rebuild workloads under the THP placement policy, so any
 # divergence means layout or promotion order leaked host parallelism.
 # Non-finite ratios would also serialize as bare words; grep for them.
-reach_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$tenants_dir" "$soak_dir" "$reach_dir"' EXIT
+reach_dir="$work/reach"
 ./target/release/repro reach --scale test --seed 7 --json "$reach_dir/a" --jobs 1
 ./target/release/repro reach --scale test --seed 7 --json "$reach_dir/b" --jobs 4
 cmp "$reach_dir/a/reach.json" "$reach_dir/b/reach.json"
@@ -129,8 +133,7 @@ echo "== figures jobs-invariance smoke (release)"
 # pool: the whole `repro all` JSON tree must be byte-identical at
 # --jobs 1 and --jobs 4, and free of non-finite numbers. (Host-time
 # performance is gated by benchmark/pairs.sh; see benchmark/README.md.)
-all_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$tenants_dir" "$soak_dir" "$reach_dir" "$all_dir"' EXIT
+all_dir="$work/all"
 ./target/release/repro all --scale test --seed 7 --json "$all_dir/A" --jobs 1 >/dev/null
 ./target/release/repro all --scale test --seed 7 --json "$all_dir/B" --jobs 4 >/dev/null
 diff -r "$all_dir/A" "$all_dir/B"
@@ -142,12 +145,8 @@ fi
 echo "== benchmark package build + tests (release)"
 # benchmark/ is its own cargo workspace with path dependencies on
 # crates/*, so nothing above compiles it: an API change that breaks
-# the benchmark's build would otherwise pass CI. cargo rewrites
-# benchmark/Cargo.lock on the way (it drops a stale entry), so the
-# committed lockfile is saved and put back, even if the step fails.
-bench_lock="$(mktemp)"
-cp benchmark/Cargo.lock "$bench_lock"
-trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -rf "$trace_dir" "$tenants_dir" "$soak_dir" "$reach_dir" "$all_dir" "$bench_lock"' EXIT
+# the benchmark's build would otherwise pass CI. (The exit trap above
+# restores the benchmark/Cargo.lock this rewrites.)
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"
