@@ -8,11 +8,12 @@
 //! lives in ONE test function (`signal_truncation_paths`); the other
 //! tests never arm or trigger it.
 
-use gvc::SystemConfig;
+use gvc::{InjectConfig, SystemConfig};
 use gvc_bench::figures::tenants::{self, TenantsSpec};
 use gvc_bench::{signals, soak};
-use gvc_gpu::{SoakConfig, SoakSim};
+use gvc_gpu::{SoakCheckpoint, SoakConfig, SoakSim};
 use gvc_workloads::Scale;
+use serde::{Deserialize, Serialize, Value};
 use soak::{FaultSpec, SoakOutcome, SoakSpec};
 
 fn small_cfg() -> SoakConfig {
@@ -73,6 +74,131 @@ fn save_checkpoint_refuses_non_finite_numbers() {
         "staging file written"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The dotted JSON path `mem.srt[0].config` inside a checkpoint tree.
+fn at<'v>(mut v: &'v mut Value, path: &str) -> &'v mut Value {
+    for part in path.split('.') {
+        let (key, index) = match part.split_once('[') {
+            Some((k, i)) => (
+                k,
+                Some(i.trim_end_matches(']').parse::<usize>().expect("index")),
+            ),
+            None => (part, None),
+        };
+        v = match v {
+            Value::Map(m) => &mut m.iter_mut().find(|(k, _)| k == key).expect(path).1,
+            _ => panic!("{path}: `{key}` is not in a map"),
+        };
+        if let Some(i) = index {
+            v = match v {
+                Value::Seq(s) => &mut s[i],
+                _ => panic!("{path}: `{key}` is not a list"),
+            };
+        }
+    }
+    v
+}
+
+fn first_uint(v: &mut Value) -> Option<&mut u64> {
+    match v {
+        Value::UInt(n) => Some(n),
+        Value::Map(m) => m.iter_mut().find_map(|(_, v)| first_uint(v)),
+        Value::Seq(s) => s.iter_mut().find_map(first_uint),
+        _ => None,
+    }
+}
+
+/// Increments the first integer under `v` (a config's first field).
+fn bump(v: &mut Value) {
+    *first_uint(v).expect("an integer to bump") += 1;
+}
+
+fn drop_last(v: &mut Value) {
+    match v {
+        Value::Seq(s) => assert!(s.pop().is_some(), "nothing to drop"),
+        _ => panic!("not a list"),
+    }
+}
+
+/// Fills one occupied PWC set past its associativity.
+fn overflow_pwc_set(pwc: &mut Value) {
+    let Value::UInt(ways) = *at(pwc, "config.ways") else {
+        panic!("PWC ways is not an integer")
+    };
+    let Value::Seq(sets) = at(pwc, "sets") else {
+        panic!("PWC sets is not a list")
+    };
+    let set = sets
+        .iter_mut()
+        .find_map(|s| match s {
+            Value::Seq(slots) if !slots.is_empty() => Some(slots),
+            _ => None,
+        })
+        .expect("a resident PWC slot");
+    while set.len() as u64 <= ways {
+        set.push(set[0].clone());
+    }
+}
+
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .expect("string panic payload")
+            .to_string(),
+    }
+}
+
+/// Each restore-time check on a checkpoint's components still fires:
+/// one real checkpoint, mutated at one JSON path per case, must make
+/// `SoakSim::restore` panic with that component's message.
+#[test]
+fn restore_rejects_each_mismatched_component() {
+    type Mutation = fn(&mut Value);
+    let cfg = small_cfg();
+    let sys = SystemConfig::vc_with_opt().with_inject(InjectConfig::uniform(5_000, 9));
+    let mut sim = SoakSim::new(&cfg, sys);
+    sim.run_epoch();
+    sim.run_epoch();
+    let base = sim.snapshot().to_value();
+    let cases: [(&str, Mutation, &str); 7] = [
+        ("mem.dram.config", bump, "DRAM snapshot config mismatch"),
+        (
+            "mem.dir.lookup_latency",
+            bump,
+            "directory snapshot latency mismatch",
+        ),
+        (
+            "mem.iommu.walkers.next_free",
+            drop_last,
+            "walker pool snapshot size mismatch",
+        ),
+        ("mem.iommu.pwc.config", bump, "PWC snapshot config mismatch"),
+        (
+            "mem.iommu.pwc",
+            overflow_pwc_set,
+            "PWC snapshot overflows set",
+        ),
+        (
+            "mem.srt[0].config",
+            bump,
+            "remap table snapshot config mismatch",
+        ),
+        ("plan.cfg", bump, "inject plan snapshot config mismatch"),
+    ];
+    SoakSim::new(&cfg, sys).restore(&SoakCheckpoint::from_value(&base).expect("checkpoint"));
+    for (path, mutate, expected) in cases {
+        let mut value = base.clone();
+        mutate(at(&mut value, path));
+        let ckpt = SoakCheckpoint::from_value(&value).expect("still a checkpoint");
+        let mut fresh = SoakSim::new(&cfg, sys);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fresh.restore(&ckpt)))
+            .expect_err(path);
+        let msg = panic_text(panic);
+        assert!(msg.contains(expected), "{path}: {msg}");
+    }
 }
 
 /// Kill-and-resume across checkpoint cadences AND worker counts: the
