@@ -683,11 +683,22 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's configuration or any component
-    /// geometry does not match.
+    /// Panics if the snapshot's configuration, any per-CU list's
+    /// length, or any component geometry does not match.
     pub fn restore(&mut self, snap: &MemSystemSnapshot) {
         assert_eq!(self.cfg, snap.cfg, "memory system snapshot config mismatch");
-        assert_eq!(snap.l1.len(), self.l1.len(), "snapshot CU count mismatch");
+        let cus = self.l1.len();
+        for (part, len) in [
+            ("l1", snap.l1.len()),
+            ("l1_mshr", snap.l1_mshr.len()),
+            ("tlbs", snap.tlbs.len()),
+            ("tlb_inflight", snap.tlb_inflight.len()),
+            ("tlb_inflight_until", snap.tlb_inflight_until.len()),
+            ("filters", snap.filters.len()),
+            ("srt", snap.srt.len()),
+        ] {
+            assert_eq!(len, cus, "snapshot CU count mismatch in {part}");
+        }
         for (c, s) in self.l1.iter_mut().zip(&snap.l1) {
             c.restore(s);
         }

@@ -163,7 +163,7 @@ fn restore_rejects_each_mismatched_component() {
     sim.run_epoch();
     sim.run_epoch();
     let base = sim.snapshot().to_value();
-    let cases: [(&str, Mutation, &str); 7] = [
+    let cases: [(&str, Mutation, &str); 9] = [
         ("mem.dram.config", bump, "DRAM snapshot config mismatch"),
         (
             "mem.dir.lookup_latency",
@@ -187,6 +187,8 @@ fn restore_rejects_each_mismatched_component() {
             "remap table snapshot config mismatch",
         ),
         ("plan.cfg", bump, "inject plan snapshot config mismatch"),
+        ("mem.srt", drop_last, "snapshot CU count mismatch in srt"),
+        ("mem.tlbs", drop_last, "snapshot CU count mismatch in tlbs"),
     ];
     SoakSim::new(&cfg, sys).restore(&SoakCheckpoint::from_value(&base).expect("checkpoint"));
     for (path, mutate, expected) in cases {
