@@ -196,7 +196,8 @@ impl BankedCache {
 }
 
 /// Full serializable state of a [`BankedCache`]
-/// (see [`BankedCache::snapshot`]).
+/// (see [`BankedCache::snapshot`]). A mirror, because each bank is
+/// held as a [`CacheSnapshot`] mirror.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BankedCacheSnapshot {
     /// Per-bank cache state, in bank order.

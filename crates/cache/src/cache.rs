@@ -539,7 +539,8 @@ impl SetAssocCache {
     }
 }
 
-/// One resident cache slot, in within-set scan order.
+/// One resident cache slot, in within-set scan order. A mirror, because
+/// the live cache keeps its slots as SoA tag arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSlotSnapshot {
     /// The resident line.
@@ -549,7 +550,8 @@ pub struct CacheSlotSnapshot {
 }
 
 /// Full serializable state of a [`SetAssocCache`]
-/// (see [`SetAssocCache::snapshot`]).
+/// (see [`SetAssocCache::snapshot`]). A mirror, because the SoA tag
+/// arrays and occupancy counts are rebuilt on restore.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// Geometry and policy (validated on restore).
@@ -691,8 +693,9 @@ impl MshrFile {
 }
 
 /// Full serializable state of an [`MshrFile`] (see
-/// [`MshrFile::snapshot`]). In-flight entries are stored as
-/// `(asid, line)`-sorted pairs so serialization is deterministic.
+/// [`MshrFile::snapshot`]). A mirror, because the in-flight hash map
+/// is stored as `(asid, line)`-sorted pairs so serialization is
+/// deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MshrSnapshot {
     /// In-flight (and stale-unpruned) fills, sorted by key.

@@ -140,8 +140,9 @@ impl InvalFilter {
 }
 
 /// Full serializable state of an [`InvalFilter`]
-/// (see [`InvalFilter::snapshot`]). Counters are stored as
-/// `(asid, vpn)`-sorted triples so serialization is deterministic.
+/// (see [`InvalFilter::snapshot`]). A mirror, because the counter hash
+/// map is stored as `(asid, vpn)`-sorted triples so serialization is
+/// deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InvalFilterSnapshot {
     /// Tracked pages and their line counts, sorted by `(asid, vpn)`.

@@ -112,10 +112,14 @@ pub struct FbtStats {
     pub dirty_evictions: Counter,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    entry: BtEntry,
-    last_use: u64,
+/// One occupied BT slot. Field order is the checkpoint's key order,
+/// pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Slot {
+    /// The resident entry.
+    pub entry: BtEntry,
+    /// LRU timestamp.
+    pub last_use: u64,
 }
 
 /// The forward–backward table (see [module docs](self)).
@@ -426,20 +430,7 @@ impl Fbt {
     pub fn snapshot(&self) -> FbtSnapshot {
         FbtSnapshot {
             config: self.config,
-            sets: self
-                .sets
-                .iter()
-                .map(|set| {
-                    set.iter()
-                        .map(|slot| {
-                            slot.as_ref().map(|s| FbtSlotSnapshot {
-                                entry: s.entry,
-                                last_use: s.last_use,
-                            })
-                        })
-                        .collect()
-                })
-                .collect(),
+            sets: self.sets.clone(),
             use_clock: self.use_clock,
             max_occupancy: self.max_occupancy as u64,
             usable_ways: self.usable_ways as u64,
@@ -465,11 +456,8 @@ impl Fbt {
         self.occupancy = 0;
         for (set_idx, (set, snap_set)) in self.sets.iter_mut().zip(&snap.sets).enumerate() {
             assert_eq!(snap_set.len(), set.len(), "FBT snapshot way count mismatch");
-            for (way, (slot, snap_slot)) in set.iter_mut().zip(snap_set).enumerate() {
-                *slot = snap_slot.as_ref().map(|s| Slot {
-                    entry: s.entry,
-                    last_use: s.last_use,
-                });
+            set.copy_from_slice(snap_set);
+            for (way, snap_slot) in snap_set.iter().enumerate() {
                 if let Some(s) = snap_slot {
                     self.ft.insert(
                         s.entry.leading,
@@ -514,23 +502,16 @@ impl Fbt {
     }
 }
 
-/// One occupied BT slot in a snapshot (see [`Fbt::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FbtSlotSnapshot {
-    /// The resident entry.
-    pub entry: BtEntry,
-    /// LRU timestamp.
-    pub last_use: u64,
-}
-
 /// Full serializable state of an [`Fbt`] (see [`Fbt::snapshot`]).
+/// A mirror, because the FT index and the occupancy count are derived
+/// from the BT and rebuilt on restore.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FbtSnapshot {
     /// Configuration (validated on restore).
     pub config: FbtConfig,
     /// Per-set slots with holes preserved (way positions are part of
     /// the observable state — [`BtIndex`] encodes them).
-    pub sets: Vec<Vec<Option<FbtSlotSnapshot>>>,
+    pub sets: Vec<Vec<Option<Slot>>>,
     /// LRU clock.
     pub use_clock: u64,
     /// High-water mark of resident entries.

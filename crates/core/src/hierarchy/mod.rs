@@ -25,7 +25,7 @@ pub mod virtual_hier;
 
 use crate::config::{MmuDesign, SystemConfig};
 use crate::fbt::{Fbt, FbtSnapshot};
-use crate::remap::{RemapSnapshot, RemapTable};
+use crate::remap::RemapTable;
 use crate::report::{HierCounters, MemReport};
 use gvc_cache::{
     BankedCache, BankedCacheSnapshot, CacheSnapshot, InvalFilter, InvalFilterSnapshot,
@@ -34,7 +34,7 @@ use gvc_cache::{
 use gvc_engine::time::{Cycle, Duration, Frequency};
 use gvc_engine::{FxHashMap, IntervalSummary, RateAccum, TraceCause, TraceHandle};
 use gvc_mem::{Asid, OsLite, Perms, Ppn, VAddr, LINES_PER_PAGE};
-use gvc_soc::{Directory, DirectorySnapshot, Dram, DramSnapshot, Noc};
+use gvc_soc::{Directory, Dram, Noc};
 use gvc_tlb::iommu::{Iommu, IommuSnapshot};
 use gvc_tlb::tlb::{Tlb, TlbKey, TlbSnapshot, TlbStats};
 use serde::{Deserialize, Serialize};
@@ -181,9 +181,10 @@ pub struct MemorySystem {
 }
 
 /// Full serializable state of a [`MemorySystem`]
-/// (see [`MemorySystem::snapshot`]). Hash maps are serialized as
-/// sorted vectors so the encoding is deterministic; the NoC is pure
-/// configuration and carries no state.
+/// (see [`MemorySystem::snapshot`]). A mirror, because the trace sink
+/// and lifetime tracker are observation only and are not checkpointed.
+/// Hash maps are serialized as sorted vectors so the encoding is
+/// deterministic; the NoC is pure configuration and carries no state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemSystemSnapshot {
     /// Configuration (validated on restore).
@@ -197,9 +198,9 @@ pub struct MemSystemSnapshot {
     /// The L2 MSHR file.
     pub l2_mshr: MshrSnapshot,
     /// DRAM channel backlogs and counters.
-    pub dram: DramSnapshot,
+    pub dram: Dram,
     /// Directory counters.
-    pub dir: DirectorySnapshot,
+    pub dir: Directory,
     /// The IOMMU (shared TLB, PWC, walkers, sampler, injection RNG).
     pub iommu: IommuSnapshot,
     /// Per-CU TLBs.
@@ -213,7 +214,7 @@ pub struct MemSystemSnapshot {
     /// Per-CU invalidation filters.
     pub filters: Vec<InvalFilterSnapshot>,
     /// Per-CU synonym remap tables.
-    pub srt: Vec<RemapSnapshot>,
+    pub srt: Vec<RemapTable>,
     /// Protocol counters.
     pub counters: HierCounters,
     /// Paranoid-sweep cadence position.
@@ -654,8 +655,8 @@ impl MemorySystem {
             l1_mshr: self.l1_mshr.iter().map(MshrFile::snapshot).collect(),
             l2: self.l2.snapshot(),
             l2_mshr: self.l2_mshr.snapshot(),
-            dram: self.dram.snapshot(),
-            dir: self.dir.snapshot(),
+            dram: self.dram.clone(),
+            dir: self.dir.clone(),
             iommu: self.iommu.snapshot(),
             tlbs: self.tlbs.iter().map(Tlb::snapshot).collect(),
             tlb_inflight: self
@@ -670,7 +671,7 @@ impl MemorySystem {
             tlb_inflight_until: self.tlb_inflight_until.clone(),
             fbt: self.fbt.snapshot(),
             filters: self.filters.iter().map(InvalFilter::snapshot).collect(),
-            srt: self.srt.iter().map(RemapTable::snapshot).collect(),
+            srt: self.srt.clone(),
             counters: self.counters,
             steps_since_sweep: self.steps_since_sweep,
             fbt_pressure_left: self.fbt_pressure_left,

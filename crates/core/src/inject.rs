@@ -43,7 +43,7 @@
 //! touched page exercises nothing.
 
 use crate::config::SystemConfig;
-use gvc_engine::{RngSnapshot, SimRng};
+use gvc_engine::SimRng;
 use gvc_mem::{Asid, Shootdown, Vpn, LINES_PER_PAGE};
 use serde::{Deserialize, Serialize};
 
@@ -234,7 +234,10 @@ pub struct InjectReport {
 /// exactly one rate draw (plus a bounded number of target-picking
 /// draws when an event fires), so the decision sequence is a pure
 /// function of the seed and the access stream.
-#[derive(Debug, Clone)]
+///
+/// The plan is its own checkpoint (see [`InjectPlan::restore`]). Field
+/// order is the checkpoint's key order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectPlan {
     cfg: InjectConfig,
     rng: SimRng,
@@ -365,31 +368,16 @@ impl InjectPlan {
         InjectEvent::Shootdown(Shootdown::Pages { asid, vpns })
     }
 
-    /// Captures the plan's full state — RNG position, hot ring, and
-    /// report — for checkpointing.
-    pub fn snapshot(&self) -> InjectPlanSnapshot {
-        InjectPlanSnapshot {
-            cfg: self.cfg,
-            rng: self.rng.snapshot(),
-            hot: self.hot.iter().map(|&(a, v)| (a, v)).collect(),
-            hot_next: self.hot_next as u64,
-            report: self.report,
-        }
-    }
-
-    /// Restores state captured by [`InjectPlan::snapshot`]. The RNG
-    /// resumes mid-sequence, so the post-restore decision stream is
-    /// bit-for-bit the continuation of the snapshotted one.
+    /// Restores a plan cloned or deserialized from a checkpoint. The
+    /// RNG resumes mid-sequence, so the post-restore decision stream is
+    /// bit-for-bit the continuation of the checkpointed one.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's configuration does not match.
-    pub fn restore(&mut self, snap: &InjectPlanSnapshot) {
+    /// Panics if the checkpoint's configuration does not match.
+    pub fn restore(&mut self, snap: &InjectPlan) {
         assert_eq!(self.cfg, snap.cfg, "inject plan snapshot config mismatch");
-        self.rng = SimRng::from_snapshot(snap.rng);
-        self.hot = snap.hot.clone();
-        self.hot_next = snap.hot_next as usize;
-        self.report = snap.report;
+        self.clone_from(snap);
     }
 
     fn burst(&mut self) -> InjectEvent {
@@ -408,22 +396,6 @@ impl InjectPlan {
         self.report.probe_bursts += 1;
         InjectEvent::ProbeBurst(targets)
     }
-}
-
-/// Full serializable state of an [`InjectPlan`]
-/// (see [`InjectPlan::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InjectPlanSnapshot {
-    /// Configuration (validated on restore).
-    pub cfg: InjectConfig,
-    /// RNG position mid-sequence.
-    pub rng: RngSnapshot,
-    /// Hot-page ring contents, in storage order.
-    pub hot: Vec<(Asid, Vpn)>,
-    /// Ring replacement cursor.
-    pub hot_next: u64,
-    /// Events injected so far.
-    pub report: InjectReport,
 }
 
 /// Builds an [`InjectPlan`] for a configuration, if injection is
@@ -548,10 +520,9 @@ mod tests {
             a.poll();
             b.poll();
         }
-        let snap = a.snapshot();
         let mut c = InjectPlan::new(cfg);
-        c.restore(&snap);
-        assert_eq!(c.snapshot(), snap, "restore is a fixed point");
+        c.restore(&a);
+        assert_eq!(c, a, "restore is a fixed point");
         for i in 0..1000 {
             assert_eq!(b.poll(), c.poll(), "decision {i} diverged");
         }

@@ -84,6 +84,6 @@ pub use hierarchy::coherence::ProbeResponse;
 pub use hierarchy::{
     AccessFault, AccessResult, Lifetimes, LineAccess, MemSystemSnapshot, MemorySystem,
 };
-pub use inject::{InjectConfig, InjectEvent, InjectPlan, InjectPlanSnapshot, InjectReport};
-pub use remap::{RemapConfig, RemapSnapshot, RemapTable};
+pub use inject::{InjectConfig, InjectEvent, InjectPlan, InjectReport};
+pub use remap::{RemapConfig, RemapTable};
 pub use report::{HierCounters, MemReport};

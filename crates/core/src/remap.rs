@@ -43,7 +43,9 @@ pub struct RemapStats {
     pub fills: Counter,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One remapping, in storage order. Field order is the checkpoint's key
+/// order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct Entry {
     asid: Asid,
     vpn: Vpn,
@@ -65,7 +67,12 @@ struct Entry {
 /// assert_eq!(srt.remap(Asid(1), Vpn::new(99)), Some(leading));
 /// assert_eq!(srt.remap(Asid(1), Vpn::new(98)), None);
 /// ```
-#[derive(Debug)]
+///
+/// The table is its own checkpoint (see [`RemapTable::restore`]).
+/// Entries stay in storage order: eviction uses `swap_remove`, so
+/// position affects future victim scans. Field order is the
+/// checkpoint's key order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RemapTable {
     config: RemapConfig,
     entries: Vec<Entry>,
@@ -160,77 +167,18 @@ impl RemapTable {
         self.entries.is_empty()
     }
 
-    /// Captures the table's full state for checkpointing. Entries are
-    /// serialized in storage order — eviction uses `swap_remove`, so
-    /// position affects future victim scans.
-    pub fn snapshot(&self) -> RemapSnapshot {
-        RemapSnapshot {
-            config: self.config,
-            entries: self
-                .entries
-                .iter()
-                .map(|e| RemapEntrySnapshot {
-                    asid: e.asid,
-                    vpn: e.vpn,
-                    leading: e.leading,
-                    last_use: e.last_use,
-                })
-                .collect(),
-            use_clock: self.use_clock,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`RemapTable::snapshot`].
+    /// Restores a table cloned or deserialized from a checkpoint.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's configuration does not match.
-    pub fn restore(&mut self, snap: &RemapSnapshot) {
+    /// Panics if the checkpoint's configuration does not match.
+    pub fn restore(&mut self, snap: &RemapTable) {
         assert_eq!(
             self.config, snap.config,
             "remap table snapshot config mismatch"
         );
-        self.entries = snap
-            .entries
-            .iter()
-            .map(|e| Entry {
-                asid: e.asid,
-                vpn: e.vpn,
-                leading: e.leading,
-                last_use: e.last_use,
-            })
-            .collect();
-        self.use_clock = snap.use_clock;
-        self.stats = snap.stats;
+        self.clone_from(snap);
     }
-}
-
-/// One entry of a [`RemapSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RemapEntrySnapshot {
-    /// Non-leading ASID.
-    pub asid: Asid,
-    /// Non-leading virtual page.
-    pub vpn: Vpn,
-    /// The leading name it remaps to.
-    pub leading: LeadingVa,
-    /// LRU timestamp.
-    pub last_use: u64,
-}
-
-/// Full serializable state of a [`RemapTable`]
-/// (see [`RemapTable::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RemapSnapshot {
-    /// Configuration (validated on restore).
-    pub config: RemapConfig,
-    /// Entries in storage order.
-    pub entries: Vec<RemapEntrySnapshot>,
-    /// LRU clock.
-    pub use_clock: u64,
-    /// Statistics so far.
-    pub stats: RemapStats,
 }
 
 #[cfg(test)]

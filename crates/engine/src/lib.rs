@@ -60,7 +60,7 @@ pub mod trace;
 pub use event::EventQueue;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use port::{ThroughputPort, TokenPort};
-pub use rng::{RngSnapshot, SimRng};
+pub use rng::SimRng;
 pub use stats::{
     Cdf, Counter, Histogram, IntervalSampler, IntervalSummary, RateAccum, RunningStats,
 };

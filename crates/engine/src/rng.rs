@@ -13,6 +13,10 @@ use serde::{Deserialize, Serialize};
 
 /// A seeded, deterministic random-number generator (xoshiro256++).
 ///
+/// The generator is its own checkpoint: cloning it, or serializing it
+/// and reading it back, continues the sequence bit-for-bit. Field order
+/// is the checkpoint's key order, pinned by `tests/tests/golden.rs`.
+///
 /// ```
 /// use gvc_engine::SimRng;
 ///
@@ -20,29 +24,15 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SimRng::seeded(7);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimRng {
-    state: [u64; 4],
-    base_seed: u64,
-}
-
-/// The full serializable state of a [`SimRng`] — the four xoshiro256++
-/// state words plus the base seed stream derivation keys off of.
-/// Checkpoint/restore of a simulation must capture this exactly:
-/// restoring it with [`SimRng::from_snapshot`] continues the sequence
-/// bit-for-bit where the snapshot was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RngSnapshot {
-    /// xoshiro256++ state word 0.
-    pub s0: u64,
-    /// xoshiro256++ state word 1.
-    pub s1: u64,
-    /// xoshiro256++ state word 2.
-    pub s2: u64,
-    /// xoshiro256++ state word 3.
-    pub s3: u64,
+    // The four xoshiro256++ state words.
+    s0: u64,
+    s1: u64,
+    s2: u64,
+    s3: u64,
     /// The seed [`SimRng::fork`] derives child streams from.
-    pub base_seed: u64,
+    base_seed: u64,
 }
 
 /// One SplitMix64 step; used for seeding and stream derivation.
@@ -61,14 +51,11 @@ impl SimRng {
         // recommend, so low-entropy seeds still fill all 256 state
         // bits.
         let mut s = seed;
-        let state = [
-            splitmix64(&mut s),
-            splitmix64(&mut s),
-            splitmix64(&mut s),
-            splitmix64(&mut s),
-        ];
         SimRng {
-            state,
+            s0: splitmix64(&mut s),
+            s1: splitmix64(&mut s),
+            s2: splitmix64(&mut s),
+            s3: splitmix64(&mut s),
             base_seed: seed,
         }
     }
@@ -84,15 +71,18 @@ impl SimRng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.state;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
+        let result = self
+            .s0
+            .wrapping_add(self.s3)
+            .rotate_left(23)
+            .wrapping_add(self.s0);
+        let t = self.s1 << 17;
+        self.s2 ^= self.s0;
+        self.s3 ^= self.s1;
+        self.s1 ^= self.s2;
+        self.s0 ^= self.s3;
+        self.s2 ^= t;
+        self.s3 = self.s3.rotate_left(45);
         result
     }
 
@@ -153,26 +143,6 @@ impl SimRng {
         for i in (1..items.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
-        }
-    }
-
-    /// Captures the generator's full state for checkpointing.
-    pub fn snapshot(&self) -> RngSnapshot {
-        RngSnapshot {
-            s0: self.state[0],
-            s1: self.state[1],
-            s2: self.state[2],
-            s3: self.state[3],
-            base_seed: self.base_seed,
-        }
-    }
-
-    /// Rebuilds a generator from a snapshot; the restored generator
-    /// continues the original's sequence bit-for-bit.
-    pub fn from_snapshot(s: RngSnapshot) -> Self {
-        SimRng {
-            state: [s.s0, s.s1, s.s2, s.s3],
-            base_seed: s.base_seed,
         }
     }
 }
@@ -251,21 +221,16 @@ mod tests {
         for _ in 0..17 {
             r.next_u64();
         }
-        let snap = r.snapshot();
-        let mut restored = SimRng::from_snapshot(snap);
+        let snap = r.clone();
+        let mut restored = snap.clone();
         for _ in 0..64 {
             assert_eq!(r.next_u64(), restored.next_u64());
         }
         // Forks derive from base_seed, which the snapshot preserves.
-        assert_eq!(
-            r.fork(5).next_u64(),
-            SimRng::from_snapshot(snap).fork(5).next_u64()
-        );
-        // Snapshot of the restored generator is a fixed point.
-        let mut again = SimRng::from_snapshot(snap);
-        assert_eq!(again.snapshot(), snap);
+        assert_eq!(r.fork(5).next_u64(), snap.fork(5).next_u64());
+        let mut again = snap.clone();
         again.next_u64();
-        assert_ne!(again.snapshot(), snap, "advancing must change the state");
+        assert_ne!(again, snap, "advancing must change the state");
     }
 
     #[test]

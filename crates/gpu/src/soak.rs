@@ -37,10 +37,10 @@
 use crate::service::{
     check_tenant_sums, fairness, Core, Outstanding, ServiceConfig, Tenant, TenantStats,
 };
-use gvc::{InjectPlan, InjectPlanSnapshot, InjectReport};
+use gvc::{InjectPlan, InjectReport};
 use gvc::{MemSystemSnapshot, SystemConfig};
 use gvc_engine::time::Cycle;
-use gvc_engine::{Cdf, Histogram, IntervalSummary, RateAccum, RngSnapshot, SimRng};
+use gvc_engine::{Cdf, Histogram, IntervalSummary, RateAccum, SimRng};
 use gvc_mem::{OsSnapshot, ProcessId, VRange};
 use serde::{Deserialize, Serialize};
 
@@ -217,7 +217,10 @@ impl SoakReport {
     }
 }
 
-/// Checkpointed state of one tenant.
+/// Checkpointed state of one tenant. A mirror, because its shape
+/// differs from the live tenant's: the ASID stands for the process id,
+/// the stall sketch is the soak's cumulative histogram, and the kernel
+/// budget and epoch-local stall window are not checkpointed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SoakTenantSnapshot {
     /// The tenant's ASID (process slot).
@@ -225,7 +228,7 @@ pub struct SoakTenantSnapshot {
     /// The tenant's mapped working-set region.
     pub region: VRange,
     /// The tenant's private RNG stream, mid-sequence.
-    pub rng: RngSnapshot,
+    pub rng: SimRng,
     /// Wavefronts left in the in-flight kernel.
     pub waves_left: u64,
     /// Accesses left in the in-flight wavefront.
@@ -278,7 +281,7 @@ pub struct SoakCheckpoint {
     /// The full OS state (page tables, physical memory, ASIDs).
     pub os: OsSnapshot,
     /// The injection plan, mid-stream, when armed.
-    pub plan: Option<InjectPlanSnapshot>,
+    pub plan: Option<InjectPlan>,
     /// Per-tenant state.
     pub tenants: Vec<SoakTenantSnapshot>,
     /// Per-CU outstanding completion times, sorted.
@@ -478,7 +481,7 @@ impl SoakSim {
             total_accesses: core.total_accesses,
             mem: core.mem.snapshot(),
             os: core.os.snapshot(),
-            plan: core.plan.as_ref().map(InjectPlan::snapshot),
+            plan: core.plan.clone(),
             tenants: core
                 .tenants
                 .iter()
@@ -486,7 +489,7 @@ impl SoakSim {
                 .map(|(t, hist)| SoakTenantSnapshot {
                     asid: t.pid.asid().0,
                     region: t.region,
-                    rng: t.rng.snapshot(),
+                    rng: t.rng.clone(),
                     waves_left: t.waves_left,
                     accesses_left: t.accesses_left,
                     next_arrival: t.next_arrival,
@@ -549,7 +552,7 @@ impl SoakSim {
             .map(|s| Tenant {
                 pid: ProcessId(s.asid),
                 region: s.region,
-                rng: SimRng::from_snapshot(s.rng),
+                rng: s.rng.clone(),
                 kernels_left: None,
                 waves_left: s.waves_left,
                 accesses_left: s.accesses_left,

@@ -50,12 +50,10 @@ pub mod space;
 
 pub use addr::{Asid, PAddr, Ppn, VAddr, VRange, Vpn, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
 pub use os::{OsLite, OsSnapshot, ProcessId, Shootdown};
-pub use page_table::{
-    PageTable, PageTableSnapshot, WalkOutcome, WalkPath, PAGES_PER_LARGE, PT_LEVELS,
-};
+pub use page_table::{PageTable, WalkOutcome, WalkPath, PAGES_PER_LARGE, PT_LEVELS};
 pub use perms::Perms;
 pub use phys::{PhysMem, PhysMemSnapshot};
-pub use space::{AddressSpace, AddressSpaceSnapshot};
+pub use space::AddressSpace;
 
 use std::fmt;
 

@@ -12,7 +12,7 @@ use crate::addr::{Asid, PAddr, Ppn, VAddr, VRange, Vpn, PAGE_BYTES};
 use crate::page_table::{PageTable, WalkOutcome, WalkPath, PAGES_PER_LARGE};
 use crate::perms::Perms;
 use crate::phys::{PhysMem, PhysMemSnapshot};
-use crate::space::{AddressSpace, AddressSpaceSnapshot};
+use crate::space::AddressSpace;
 use crate::MemError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -770,11 +770,7 @@ impl OsLite {
         large_regions.sort_unstable_by_key(|&(pid, vpn, _)| (pid, vpn));
         OsSnapshot {
             phys: self.phys.snapshot(),
-            spaces: self
-                .spaces
-                .iter()
-                .map(|s| s.as_ref().map(AddressSpace::snapshot))
-                .collect(),
+            spaces: self.spaces.clone(),
             free_asids: self.free_asids.clone(),
             frame_refs,
             large_regions,
@@ -791,11 +787,7 @@ impl OsLite {
     /// Panics if the snapshot's physical memory size does not match.
     pub fn restore(&mut self, snap: &OsSnapshot) {
         self.phys.restore(&snap.phys);
-        self.spaces = snap
-            .spaces
-            .iter()
-            .map(|s| s.as_ref().map(AddressSpace::from_snapshot))
-            .collect();
+        self.spaces.clone_from(&snap.spaces);
         self.free_asids.clone_from(&snap.free_asids);
         self.frame_refs.clear();
         for &(p, c) in &snap.frame_refs {
@@ -810,15 +802,15 @@ impl OsLite {
 }
 
 /// Full serializable state of an [`OsLite`] kernel
-/// (see [`OsLite::snapshot`]). Hash maps are stored as sorted vectors
-/// so serialization is deterministic.
+/// (see [`OsLite::snapshot`]). A mirror, because the hash maps are
+/// stored as sorted vectors so serialization is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OsSnapshot {
     /// Physical memory (allocator + page-table frame contents).
     pub phys: PhysMemSnapshot,
     /// Address-space slots indexed by ASID; `None` marks a destroyed
     /// process whose ASID is on the free list.
-    pub spaces: Vec<Option<AddressSpaceSnapshot>>,
+    pub spaces: Vec<Option<AddressSpace>>,
     /// Recycled ASIDs, in stack order.
     pub free_asids: Vec<u16>,
     /// Frame refcounts as `(frame, refs)` sorted by frame.

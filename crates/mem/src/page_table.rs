@@ -57,15 +57,6 @@ fn pte_perms(pte: u64) -> Perms {
     Perms::from_bits(((pte >> PTE_PERM_SHIFT) & 0b111) as u8)
 }
 
-/// The registers of a [`PageTable`] (see [`PageTable::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PageTableSnapshot {
-    /// The root frame.
-    pub root: Ppn,
-    /// Number of mapped pages.
-    pub mapped_pages: u64,
-}
-
 /// The physical addresses of the page-table entries a walk touches, in
 /// root-to-leaf order. A partial walk (ending at a non-present entry)
 /// reports only the levels actually read.
@@ -117,7 +108,13 @@ pub enum WalkOutcome {
 /// assert_eq!(path.accesses(), 4); // four levels touched
 /// # Ok::<(), gvc_mem::MemError>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// A checkpoint holds the table as is: the root pointer and the
+/// mapped-page count. The radix nodes live in [`PhysMem`] frames, which
+/// [`PhysMem::snapshot`] captures, so restore physical memory before
+/// walking a restored table. Field order is the checkpoint's key order,
+/// pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageTable {
     root: Ppn,
     mapped_pages: u64,
@@ -141,27 +138,6 @@ impl PageTable {
     /// The root frame (CR3 equivalent).
     pub fn root(&self) -> Ppn {
         self.root
-    }
-
-    /// Captures the table's registers for checkpointing. The radix
-    /// nodes themselves live in [`PhysMem`] frames and are captured by
-    /// [`PhysMem::snapshot`]; this records only the root pointer and
-    /// the mapped-page count.
-    pub fn snapshot(&self) -> PageTableSnapshot {
-        PageTableSnapshot {
-            root: self.root,
-            mapped_pages: self.mapped_pages,
-        }
-    }
-
-    /// Rebuilds a table handle from a snapshot. The caller must restore
-    /// the owning [`PhysMem`] from the matching snapshot first — the
-    /// root frame's storage has to exist before walks make sense.
-    pub fn from_snapshot(snap: &PageTableSnapshot) -> Self {
-        PageTable {
-            root: snap.root,
-            mapped_pages: snap.mapped_pages,
-        }
     }
 
     /// Number of currently mapped pages.

@@ -211,9 +211,9 @@ impl PhysMem {
 }
 
 /// Full serializable state of a [`PhysMem`] (see
-/// [`PhysMem::snapshot`]). Page-table frames are stored as
-/// `(frame, non-zero entries)` pairs sorted by frame number so the
-/// serialized form is deterministic.
+/// [`PhysMem::snapshot`]). A mirror, because the page-table frame
+/// hash map is stored as `(frame, non-zero entries)` pairs sorted by
+/// frame number so the serialized form is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhysMemSnapshot {
     /// Machine size in frames (validated on restore).

@@ -7,7 +7,7 @@
 //! only records the metadata.
 
 use crate::addr::{Asid, VAddr, VRange, PAGE_BYTES};
-use crate::page_table::{PageTable, PageTableSnapshot};
+use crate::page_table::PageTable;
 use serde::{Deserialize, Serialize};
 
 /// Pages of guard gap between allocated regions.
@@ -15,7 +15,10 @@ const GUARD_PAGES: u64 = 16;
 
 /// A process's virtual address space: its ASID, page table, and the
 /// regions allocated so far.
-#[derive(Debug)]
+///
+/// A checkpoint holds the space as is. Field order is the checkpoint's
+/// key order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AddressSpace {
     asid: Asid,
     table: PageTable,
@@ -80,41 +83,6 @@ impl AddressSpace {
     pub(crate) fn forget_region(&mut self, range: VRange) {
         self.regions.retain(|r| r != &range);
     }
-
-    /// Captures the space's bookkeeping for checkpointing.
-    pub fn snapshot(&self) -> AddressSpaceSnapshot {
-        AddressSpaceSnapshot {
-            asid: self.asid,
-            table: self.table.snapshot(),
-            next_page: self.next_page,
-            regions: self.regions.clone(),
-        }
-    }
-
-    /// Rebuilds a space from a snapshot. The owning [`crate::OsLite`]
-    /// restores physical memory first so the table root is live.
-    pub(crate) fn from_snapshot(snap: &AddressSpaceSnapshot) -> Self {
-        AddressSpace {
-            asid: snap.asid,
-            table: PageTable::from_snapshot(&snap.table),
-            next_page: snap.next_page,
-            regions: snap.regions.clone(),
-        }
-    }
-}
-
-/// Full serializable state of an [`AddressSpace`]
-/// (see [`AddressSpace::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AddressSpaceSnapshot {
-    /// The space's ASID.
-    pub asid: Asid,
-    /// Page-table registers.
-    pub table: PageTableSnapshot,
-    /// Bump-allocator cursor (pages).
-    pub next_page: u64,
-    /// Regions allocated so far, in allocation order.
-    pub regions: Vec<VRange>,
 }
 
 #[cfg(test)]

@@ -38,7 +38,11 @@ pub struct Probe {
 }
 
 /// The directory: lookup latency plus probe counters.
-#[derive(Debug)]
+///
+/// The directory is its own checkpoint (see [`Directory::restore`]).
+/// Field order is the checkpoint's key order, pinned by
+/// `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Directory {
     lookup_latency: Duration,
     fetches: Counter,
@@ -82,40 +86,18 @@ impl Directory {
         self.probes_sent.get()
     }
 
-    /// Captures the directory's counters for checkpointing.
-    pub fn snapshot(&self) -> DirectorySnapshot {
-        DirectorySnapshot {
-            lookup_latency: self.lookup_latency,
-            fetches: self.fetches,
-            probes_sent: self.probes_sent,
-        }
-    }
-
-    /// Restores state captured by [`Directory::snapshot`].
+    /// Restores a directory cloned or deserialized from a checkpoint.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's lookup latency does not match.
-    pub fn restore(&mut self, snap: &DirectorySnapshot) {
+    /// Panics if the checkpoint's lookup latency does not match.
+    pub fn restore(&mut self, snap: &Directory) {
         assert_eq!(
             self.lookup_latency, snap.lookup_latency,
             "directory snapshot latency mismatch"
         );
-        self.fetches = snap.fetches;
-        self.probes_sent = snap.probes_sent;
+        self.clone_from(snap);
     }
-}
-
-/// Full serializable state of a [`Directory`]
-/// (see [`Directory::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DirectorySnapshot {
-    /// Lookup latency (validated on restore).
-    pub lookup_latency: Duration,
-    /// GPU-side fetches counted.
-    pub fetches: Counter,
-    /// Probes dispatched.
-    pub probes_sent: Counter,
 }
 
 impl Default for Directory {

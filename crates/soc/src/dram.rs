@@ -42,7 +42,10 @@ impl Default for DramConfig {
 /// let done = dram.read_line(Cycle::new(0));
 /// assert_eq!(done, Cycle::new(100)); // one line fits one cycle of bandwidth
 /// ```
-#[derive(Debug)]
+///
+/// The DRAM is its own checkpoint (see [`Dram::restore`]). Field order
+/// is the checkpoint's key order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Dram {
     config: DramConfig,
     pipe: TokenPort,
@@ -98,45 +101,16 @@ impl Dram {
         self.pipe.bytes_total() + self.write_pipe.bytes_total()
     }
 
-    /// Captures the DRAM's full state (both channel backlogs and
-    /// counters) for checkpointing.
-    pub fn snapshot(&self) -> DramSnapshot {
-        DramSnapshot {
-            config: self.config,
-            pipe: self.pipe.clone(),
-            write_pipe: self.write_pipe.clone(),
-            reads: self.reads,
-            writes: self.writes,
-        }
-    }
-
-    /// Restores state captured by [`Dram::snapshot`].
+    /// Restores a DRAM cloned or deserialized from a checkpoint: both
+    /// channel backlogs and the counters.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's configuration does not match.
-    pub fn restore(&mut self, snap: &DramSnapshot) {
+    /// Panics if the checkpoint's configuration does not match.
+    pub fn restore(&mut self, snap: &Dram) {
         assert_eq!(self.config, snap.config, "DRAM snapshot config mismatch");
-        self.pipe = snap.pipe.clone();
-        self.write_pipe = snap.write_pipe.clone();
-        self.reads = snap.reads;
-        self.writes = snap.writes;
+        self.clone_from(snap);
     }
-}
-
-/// Full serializable state of a [`Dram`] (see [`Dram::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DramSnapshot {
-    /// Configuration (validated on restore).
-    pub config: DramConfig,
-    /// Demand-read channel backlog.
-    pub pipe: TokenPort,
-    /// Write channel backlog.
-    pub write_pipe: TokenPort,
-    /// Lines read.
-    pub reads: Counter,
-    /// Lines written.
-    pub writes: Counter,
 }
 
 #[cfg(test)]

@@ -17,6 +17,6 @@ pub mod directory;
 pub mod dram;
 pub mod noc;
 
-pub use directory::{Directory, DirectorySnapshot, Probe, ProbeInjector, ProbeKind};
-pub use dram::{Dram, DramConfig, DramSnapshot};
+pub use directory::{Directory, Probe, ProbeInjector, ProbeKind};
+pub use dram::{Dram, DramConfig};
 pub use noc::{Noc, NocConfig};

@@ -17,7 +17,7 @@ use crate::tlb::{Tlb, TlbConfig, TlbKey, TlbStats};
 use crate::walker::WalkerPool;
 use gvc_engine::stats::{IntervalSampler, IntervalSummary, RateAccum};
 use gvc_engine::time::{Cycle, Duration};
-use gvc_engine::{Counter, RngSnapshot, SimRng, ThroughputPort, TraceCause, TraceHandle};
+use gvc_engine::{Counter, SimRng, ThroughputPort, TraceCause, TraceHandle};
 use gvc_mem::{Asid, OsLite, Perms, Ppn, Vpn, WalkOutcome};
 use serde::{Deserialize, Serialize};
 
@@ -492,10 +492,10 @@ impl Iommu {
             tlb: self.tlb.snapshot(),
             port: self.port.clone(),
             walkers: self.walkers.snapshot(),
-            pwc: self.pwc.snapshot(),
+            pwc: self.pwc.clone(),
             sampler: self.sampler.clone(),
             stats: self.stats,
-            inject: self.inject.as_ref().map(|i| (i.cfg, i.rng.snapshot())),
+            inject: self.inject.as_ref().map(|i| (i.cfg, i.rng.clone())),
         }
     }
 
@@ -514,14 +514,16 @@ impl Iommu {
         self.pwc.restore(&snap.pwc);
         self.sampler = snap.sampler.clone();
         self.stats = snap.stats;
-        self.inject = snap.inject.map(|(cfg, rng)| WalkInject {
-            cfg,
-            rng: SimRng::from_snapshot(rng),
+        self.inject = snap.inject.as_ref().map(|(cfg, rng)| WalkInject {
+            cfg: *cfg,
+            rng: rng.clone(),
         });
     }
 }
 
 /// Full serializable state of an [`Iommu`] (see [`Iommu::snapshot`]).
+/// A mirror, because the IOMMU's trace handle is observation only and
+/// is not checkpointed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IommuSnapshot {
     /// Configuration (validated on restore).
@@ -531,15 +533,15 @@ pub struct IommuSnapshot {
     /// Port backlog state.
     pub port: ThroughputPort,
     /// Walker-pool occupancy and stats.
-    pub walkers: crate::walker::WalkerPoolSnapshot,
+    pub walkers: WalkerPool,
     /// Page-walk cache state.
-    pub pwc: crate::pwc::PwcSnapshot,
+    pub pwc: Pwc,
     /// Resident access-rate sampler window.
     pub sampler: IntervalSampler,
     /// Counters so far.
     pub stats: IommuStats,
     /// Injection config and mid-stream generator state, if armed.
-    pub inject: Option<(WalkInjectConfig, RngSnapshot)>,
+    pub inject: Option<(WalkInjectConfig, SimRng)>,
 }
 
 #[cfg(test)]

@@ -48,6 +48,6 @@ pub mod tlb;
 pub mod walker;
 
 pub use iommu::{Iommu, IommuConfig, IommuOutcome, IommuResponse, IommuSnapshot};
-pub use pwc::{Pwc, PwcConfig, PwcSnapshot};
+pub use pwc::{Pwc, PwcConfig};
 pub use tlb::{Evicted, Tlb, TlbConfig, TlbEntry, TlbKey, TlbOrganization, TlbSnapshot};
-pub use walker::{WalkerPool, WalkerPoolSnapshot};
+pub use walker::WalkerPool;

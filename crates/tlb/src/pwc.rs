@@ -34,7 +34,9 @@ impl Default for PwcConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One resident PWC slot, in set scan order. Field order is the
+/// checkpoint's key order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct PwcSlot {
     tag: PAddr,
     last_use: u64,
@@ -61,7 +63,11 @@ pub struct PwcStats {
 /// assert!(pwc.access(pte, 0)); // hit
 /// assert!(!pwc.access(pte, 3)); // leaf level: never cached
 /// ```
-#[derive(Debug)]
+///
+/// The PWC is its own checkpoint (see [`Pwc::restore`]); slot order
+/// within a set encodes replacement bookkeeping. Field order is the
+/// checkpoint's key order, pinned by `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pwc {
     config: PwcConfig,
     sets: Vec<Vec<PwcSlot>>,
@@ -140,76 +146,27 @@ impl Pwc {
         }
     }
 
-    /// Captures the PWC's full state (slot order encodes replacement
-    /// bookkeeping) for checkpointing.
-    pub fn snapshot(&self) -> PwcSnapshot {
-        PwcSnapshot {
-            config: self.config,
-            sets: self
-                .sets
-                .iter()
-                .map(|set| {
-                    set.iter()
-                        .map(|s| PwcSlotSnapshot {
-                            tag: s.tag,
-                            last_use: s.last_use,
-                        })
-                        .collect()
-                })
-                .collect(),
-            use_clock: self.use_clock,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Pwc::snapshot`].
+    /// Restores a PWC cloned or deserialized from a checkpoint.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's configuration does not match.
-    pub fn restore(&mut self, snap: &PwcSnapshot) {
+    /// Panics if the checkpoint's configuration or geometry does not
+    /// match.
+    pub fn restore(&mut self, snap: &Pwc) {
         assert_eq!(self.config, snap.config, "PWC snapshot config mismatch");
         assert_eq!(
             snap.sets.len(),
             self.sets.len(),
             "PWC snapshot set count mismatch"
         );
-        for (set, slots) in self.sets.iter_mut().zip(&snap.sets) {
-            assert!(
-                slots.len() <= self.config.ways,
-                "PWC snapshot overflows set"
-            );
-            set.clear();
-            set.extend(slots.iter().map(|s| PwcSlot {
-                tag: s.tag,
-                last_use: s.last_use,
-            }));
-        }
-        self.use_clock = snap.use_clock;
-        self.stats = snap.stats;
+        assert!(
+            snap.sets
+                .iter()
+                .all(|slots| slots.len() <= self.config.ways),
+            "PWC snapshot overflows set"
+        );
+        self.clone_from(snap);
     }
-}
-
-/// One resident PWC slot, in set scan order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PwcSlotSnapshot {
-    /// The cached PTE address.
-    pub tag: PAddr,
-    /// The slot's LRU clock stamp.
-    pub last_use: u64,
-}
-
-/// Full serializable state of a [`Pwc`] (see [`Pwc::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PwcSnapshot {
-    /// Configuration (validated on restore).
-    pub config: PwcConfig,
-    /// Per-set resident slots, in scan order.
-    pub sets: Vec<Vec<PwcSlotSnapshot>>,
-    /// The LRU use clock.
-    pub use_clock: u64,
-    /// Statistics so far.
-    pub stats: PwcStats,
 }
 
 #[cfg(test)]

@@ -727,7 +727,8 @@ impl Tlb {
     }
 }
 
-/// One resident bounded-TLB slot, in within-set scan order.
+/// One resident bounded-TLB slot, in within-set scan order. A mirror,
+/// because the live TLB keeps its slots as SoA tag arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TlbSlotSnapshot {
     /// The slot's key.
@@ -739,8 +740,9 @@ pub struct TlbSlotSnapshot {
 }
 
 /// Full serializable state of a [`Tlb`] (see [`Tlb::snapshot`]).
-/// Derived maps are rebuilt on restore; the unbounded map is stored as
-/// `(asid, vpn)`-sorted pairs so serialization is deterministic.
+/// A mirror, because the SoA tag arrays and the MRU hint are rebuilt on
+/// restore; the unbounded map is stored as `(asid, vpn)`-sorted pairs
+/// so serialization is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TlbSnapshot {
     /// Organization the TLB was built with (validated on restore).

@@ -38,7 +38,11 @@ pub struct WalkerStats {
 /// assert_eq!(c.1, Cycle::new(100)); // starts when a walker frees up
 /// # pool.release(c.0, Cycle::new(200));
 /// ```
-#[derive(Debug)]
+///
+/// The pool is its own checkpoint (see [`WalkerPool::snapshot`]).
+/// Field order is the checkpoint's key order, pinned by
+/// `tests/tests/golden.rs`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WalkerPool {
     next_free: Vec<Cycle>,
     stats: WalkerStats,
@@ -115,15 +119,12 @@ impl WalkerPool {
     /// Panics if any walker is still acquired — walks acquire and
     /// release within one translate call, so a checkpoint boundary must
     /// never observe a busy walker.
-    pub fn snapshot(&self) -> WalkerPoolSnapshot {
+    pub fn snapshot(&self) -> WalkerPool {
         assert!(
             self.next_free.iter().all(|&c| c != Cycle::new(u64::MAX)),
             "cannot snapshot a walker pool with an acquired walker"
         );
-        WalkerPoolSnapshot {
-            next_free: self.next_free.clone(),
-            stats: self.stats.clone(),
-        }
+        self.clone()
     }
 
     /// Restores state captured by [`WalkerPool::snapshot`].
@@ -131,25 +132,14 @@ impl WalkerPool {
     /// # Panics
     ///
     /// Panics if the snapshot's walker count does not match.
-    pub fn restore(&mut self, snap: &WalkerPoolSnapshot) {
+    pub fn restore(&mut self, snap: &WalkerPool) {
         assert_eq!(
             snap.next_free.len(),
             self.next_free.len(),
             "walker pool snapshot size mismatch"
         );
-        self.next_free.clone_from(&snap.next_free);
-        self.stats = snap.stats.clone();
+        self.clone_from(snap);
     }
-}
-
-/// Full serializable state of a [`WalkerPool`]
-/// (see [`WalkerPool::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WalkerPoolSnapshot {
-    /// Per-walker next-free times.
-    pub next_free: Vec<Cycle>,
-    /// Statistics so far.
-    pub stats: WalkerStats,
 }
 
 #[cfg(test)]
