@@ -10,7 +10,7 @@
 
 use gvc::{InjectConfig, SystemConfig};
 use gvc_bench::figures::tenants::{self, TenantsSpec};
-use gvc_bench::{signals, soak};
+use gvc_bench::{runner, signals, soak};
 use gvc_gpu::{SoakCheckpoint, SoakConfig, SoakSim};
 use gvc_workloads::Scale;
 use serde::{Deserialize, Serialize, Value};
@@ -141,16 +141,6 @@ fn overflow_pwc_set(pwc: &mut Value) {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(p) => p
-            .downcast_ref::<&str>()
-            .expect("string panic payload")
-            .to_string(),
-    }
-}
-
 /// Each restore-time check on a checkpoint's components still fires:
 /// one real checkpoint, mutated at one JSON path per case, must make
 /// `SoakSim::restore` panic with that component's message.
@@ -198,7 +188,7 @@ fn restore_rejects_each_mismatched_component() {
         let mut fresh = SoakSim::new(&cfg, sys);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fresh.restore(&ckpt)))
             .expect_err(path);
-        let msg = panic_text(panic);
+        let msg = runner::panic_message(&*panic);
         assert!(msg.contains(expected), "{path}: {msg}");
     }
 }
