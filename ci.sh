@@ -81,11 +81,13 @@ echo "== soak kill/resume smoke (release)"
 # Long-horizon soak harness (DESIGN.md §12): a seeded soak is killed
 # at an epoch boundary (--kill-after, exit 76), resumed from its
 # on-disk checkpoint, and the resumed run's final report must be
-# byte-identical to an uninterrupted run of the same soak. The
-# checkpoint itself must re-parse and contain no non-finite numbers.
+# byte-identical to an uninterrupted run of the same soak. Both
+# designs run under fault injection, so the resumed state includes the
+# injection plan and the IOMMU's walk-injection generator. Each
+# checkpoint must re-parse and contain no non-finite numbers.
 soak_dir="$work/soak"
-soak_flags=(--tenants 3 --epochs 6 --epoch-cycles 20000 --design vc
-            --seed 9 --paranoid)
+soak_flags=(--tenants 3 --epochs 6 --epoch-cycles 20000 --design baseline
+            --design vc --inject 0.01 --seed 9 --paranoid)
 ./target/release/repro soak "${soak_flags[@]}" --json "$soak_dir/clean"
 if ./target/release/repro soak "${soak_flags[@]}" \
     --state "$soak_dir/state" --checkpoint-every 2 --kill-after 3; then
@@ -98,14 +100,15 @@ else
         exit 1
     fi
 fi
-if grep -E 'NaN|Infinity' "$soak_dir/state/soak_vc.ckpt.json"; then
-    echo "soak checkpoint contains non-finite values" >&2
-    exit 1
-fi
-if command -v python3 >/dev/null; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-        "$soak_dir/state/soak_vc.ckpt.json"
-fi
+for ckpt in "$soak_dir/state/soak_baseline.ckpt.json" "$soak_dir/state/soak_vc.ckpt.json"; do
+    if grep -E 'NaN|Infinity' "$ckpt"; then
+        echo "soak checkpoint $ckpt contains non-finite values" >&2
+        exit 1
+    fi
+    if command -v python3 >/dev/null; then
+        python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$ckpt"
+    fi
+done
 ./target/release/repro soak "${soak_flags[@]}" \
     --state "$soak_dir/state" --checkpoint-every 2 --json "$soak_dir/resumed"
 cmp "$soak_dir/clean/soak.json" "$soak_dir/resumed/soak.json"
