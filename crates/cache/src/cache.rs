@@ -969,3 +969,127 @@ mod tests {
         });
     }
 }
+
+/// [`MshrFile`] against a naive reference of its rules: the
+/// `latest_done` gate, lazy removal in `check`, and the 4,096-entry
+/// cap that keeps only fills completing after the newest one.
+#[cfg(test)]
+mod mshr_model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The reference: a sorted map from `(asid, line)` to done cycle.
+    #[derive(Default)]
+    struct Model {
+        inflight: BTreeMap<(u16, u64), u64>,
+        latest_done: u64,
+        merges: u64,
+        primaries: u64,
+        caps: u64,
+    }
+
+    impl Model {
+        fn check(&mut self, k: (u16, u64), now: u64) -> MshrOutcome {
+            if now < self.latest_done {
+                if let Some(&done) = self.inflight.get(&k) {
+                    if done > now {
+                        self.merges += 1;
+                        return MshrOutcome::Merged {
+                            fill_done: Cycle::new(done),
+                        };
+                    }
+                    self.inflight.remove(&k);
+                }
+            }
+            self.primaries += 1;
+            MshrOutcome::Primary
+        }
+
+        fn pending(&self, k: (u16, u64), now: u64) -> Option<Cycle> {
+            if now >= self.latest_done {
+                return None;
+            }
+            self.inflight
+                .get(&k)
+                .copied()
+                .filter(|&done| done > now)
+                .map(Cycle::new)
+        }
+
+        fn register(&mut self, k: (u16, u64), fill_done: u64) {
+            self.latest_done = self.latest_done.max(fill_done);
+            self.inflight.insert(k, fill_done);
+            if self.inflight.len() > 4096 {
+                self.caps += 1;
+                self.inflight.retain(|_, &mut done| done > fill_done);
+            }
+        }
+    }
+
+    /// Maps small generated indices onto ASIDs that include both ends
+    /// of the range, and onto line indices that include bit 47.
+    fn key_of(asid: u16, line: u64) -> (u16, u64) {
+        let asid = if asid == 15 { u16::MAX } else { asid };
+        let line = if line.is_multiple_of(7) { line | 1 << 47 } else { line };
+        (asid, line)
+    }
+
+    /// Drives `ops` through both implementations; returns how many
+    /// times the model's cap fired.
+    fn run(ops: &[(u8, u16, u64, u64, u64, u64)]) -> Result<u64, proptest::TestCaseError> {
+        let mut real = MshrFile::new();
+        let mut model = Model::default();
+        let mut clock = 0u64;
+        for &(kind, asid, line, dt, back, lat) in ops {
+            // Mostly small steps, with the odd long gap that lets the
+            // clock pass every registered fill.
+            clock += if dt == 5 { 1000 } else { dt };
+            let probe = clock.saturating_sub(back);
+            let k = key_of(asid, line);
+            let lk = LineKey::new(Asid(k.0), k.1);
+            match kind {
+                0..=5 => {
+                    real.register(lk, Cycle::new(clock + lat));
+                    model.register(k, clock + lat);
+                }
+                6 => prop_assert_eq!(real.check(lk, Cycle::new(probe)), model.check(k, probe)),
+                _ => prop_assert_eq!(real.pending(lk, Cycle::new(probe)), model.pending(k, probe)),
+            }
+        }
+        prop_assert_eq!(real.merges(), model.merges);
+        prop_assert_eq!(real.primaries(), model.primaries);
+        let snap = real.snapshot();
+        let want: Vec<(LineKey, Cycle)> = model
+            .inflight
+            .iter()
+            .map(|(&(a, l), &d)| (LineKey::new(Asid(a), l), Cycle::new(d)))
+            .collect();
+        prop_assert_eq!(snap.inflight, want);
+        prop_assert_eq!(snap.latest_done, Cycle::new(model.latest_done));
+        Ok(model.caps)
+    }
+
+    proptest! {
+        #[test]
+        fn mshr_file_matches_reference_rules(
+            ops in prop::collection::vec(
+                (0u8..8, 0u16..16, 0u64..512, 0u64..6, 0u64..64, 1u64..400),
+                2_000..16_000,
+            ),
+        ) {
+            run(&ops)?;
+        }
+    }
+
+    #[test]
+    fn reference_stream_reaches_the_cap() {
+        // Registrations only, over 16 ASIDs x 512 lines: the map passes
+        // 4,096 entries, so the cap's retain runs and must agree too.
+        let ops: Vec<_> = (0..8192u64)
+            .map(|i| (0u8, (i % 16) as u16, i / 16, i % 3, 0, 1 + i % 397))
+            .collect();
+        let caps = run(&ops).expect("reference agrees");
+        assert!(caps > 0, "stream never reached the 4,096-entry cap");
+    }
+}
