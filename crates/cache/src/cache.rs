@@ -2,7 +2,7 @@
 
 use gvc_engine::time::Cycle;
 use gvc_engine::{Counter, FxHashMap};
-use gvc_mem::{Asid, Perms, LINES_PER_PAGE, LINE_BYTES};
+use gvc_mem::{Asid, AsidKey, Perms, LINES_PER_PAGE, LINE_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a cached line: an address space plus a global line index
@@ -31,6 +31,24 @@ impl LineKey {
     /// The line's index within its page (0..=31).
     pub fn line_in_page(&self) -> u32 {
         (self.line % LINES_PER_PAGE) as u32
+    }
+
+    /// The key packed into one `u64` ([`AsidKey`]), the form the tag
+    /// arrays and MSHR files store.
+    #[inline]
+    pub fn packed(self) -> AsidKey {
+        debug_assert!(
+            self.line >> AsidKey::INDEX_BITS == 0,
+            "line index exceeds 48 bits"
+        );
+        AsidKey::new(self.asid, self.line)
+    }
+}
+
+impl From<AsidKey> for LineKey {
+    #[inline]
+    fn from(k: AsidKey) -> Self {
+        LineKey::new(k.asid(), k.index())
     }
 }
 
@@ -162,15 +180,16 @@ struct LineMeta {
 
 /// A set-associative cache tag store with true LRU.
 ///
-/// Storage is struct-of-arrays: tags, LRU clocks, and line metadata
-/// live in three flat arrays of `sets * ways` entries, with set `s`
-/// occupying the fixed stride `s*ways .. s*ways + occupancy[s]`. The
-/// way scan — the operation every single memory access performs, often
-/// several times — touches only the 16-byte tag array, and the layout
-/// is allocation-free after construction. Within-set slot order
-/// replicates the previous `Vec` semantics exactly (append on fill,
-/// swap-remove on evict/invalidate), so enumeration order — and with
-/// it every downstream figure byte — is unchanged.
+/// Storage is struct-of-arrays: packed tags ([`LineKey::packed`]), LRU
+/// clocks, and line metadata live in three flat arrays of
+/// `sets * ways` entries, with set `s` occupying the fixed stride
+/// `s*ways .. s*ways + occupancy[s]`. The way scan — the operation
+/// every single memory access performs, often several times — touches
+/// only the 8-byte tag array, and the layout is allocation-free after
+/// construction. A [`LineKey`] is unpacked from its tag when one is
+/// needed. Within-set slot order is append on fill and swap-remove on
+/// evict/invalidate; enumeration order, and with it every downstream
+/// figure byte, depends on it.
 ///
 /// ```
 /// use gvc_cache::{CacheConfig, LineKey, SetAssocCache};
@@ -191,13 +210,9 @@ pub struct SetAssocCache {
     /// geometries), letting [`Self::set_index`] mask instead of
     /// divide; `None` falls back to the modulo.
     set_mask: Option<u64>,
-    /// Tags, strided by way: slot `(s, w)` lives at `s*ways + w`.
-    keys: Vec<LineKey>,
-    /// The same tags packed to one `u64` each ([`SetAssocCache::pack`]),
-    /// kept in lockstep with `keys`. The way scan compares these: a
-    /// padded 16-byte struct compare defeats vectorization, a dense
-    /// `u64` compare does not.
-    packed: Vec<u64>,
+    /// Packed tags, strided by way: slot `(s, w)` lives at
+    /// `s*ways + w`.
+    packed: Vec<AsidKey>,
     /// LRU clocks, same stride.
     last_use: Vec<u64>,
     /// Line metadata, same stride.
@@ -235,8 +250,7 @@ impl SetAssocCache {
             config,
             n_sets,
             set_mask: n_sets.is_power_of_two().then(|| n_sets as u64 - 1),
-            keys: vec![LineKey::new(Asid::default(), 0); total],
-            packed: vec![0; total],
+            packed: vec![AsidKey::default(); total],
             last_use: vec![0; total],
             meta: vec![EMPTY_META; total],
             occupancy: vec![0; n_sets],
@@ -270,22 +284,13 @@ impl SetAssocCache {
         // multiply; a plain left shift (the old `<< 13`) sat above the
         // modulus for every real geometry (64..128 sets), so homonyms
         // of one line index conflict-thrashed a single set.
-        let mix = (key.asid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let folded = (key.line >> self.config.index_shift) ^ mix;
+        let folded = (key.line >> self.config.index_shift) ^ key.asid.fold();
         // Identical result either way; the mask path skips the 64-bit
         // division on the access fast path.
         match self.set_mask {
             Some(mask) => (folded & mask) as usize,
             None => (folded % self.n_sets as u64) as usize,
         }
-    }
-
-    /// Packs a key into one `u64` for the way scan. Line indices are
-    /// at most 48-bit addresses / 128 B, so the ASID fits below them.
-    #[inline]
-    fn pack(key: LineKey) -> u64 {
-        debug_assert!(key.line >> 48 == 0, "line index exceeds 48 bits");
-        (key.line << 16) | key.asid.0 as u64
     }
 
     /// The occupied slot range of set `set` in the flat arrays.
@@ -295,12 +300,23 @@ impl SetAssocCache {
         (base, base + self.occupancy[set] as usize)
     }
 
+    /// The slot of `key` in its set, if resident: one way scan over the
+    /// set's tag slice. Returns the set too.
+    #[inline]
+    fn find(&self, key: LineKey) -> (usize, Option<usize>) {
+        let set = self.set_index(key);
+        let p = key.packed();
+        let (base, end) = self.span(set);
+        let hit = self.packed[base..end].iter().position(|&t| t == p);
+        (set, hit.map(|w| base + w))
+    }
+
     /// Reassembles the public [`CacheLine`] view of slot `i`.
     #[inline]
     fn line_at(&self, i: usize) -> CacheLine {
         let m = self.meta[i];
         CacheLine {
-            key: self.keys[i],
+            key: self.packed[i].into(),
             perms: m.perms,
             dirty: m.dirty,
             inserted_at: m.inserted_at,
@@ -316,7 +332,6 @@ impl SetAssocCache {
         let (base, end) = self.span(set);
         debug_assert!((base..end).contains(&i));
         let last = end - 1;
-        self.keys[i] = self.keys[last];
         self.packed[i] = self.packed[last];
         self.last_use[i] = self.last_use[last];
         self.meta[i] = self.meta[last];
@@ -329,44 +344,29 @@ impl SetAssocCache {
         self.stats.lookups.inc();
         self.use_clock += 1;
         let clock = self.use_clock;
-        let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        for i in base..end {
-            if self.packed[i] == p {
-                self.last_use[i] = clock;
-                self.meta[i].last_access = now;
-                self.stats.hits.inc();
-                return Some(self.line_at(i));
-            }
-        }
-        self.stats.misses.inc();
-        None
+        let Some(i) = self.find(key).1 else {
+            self.stats.misses.inc();
+            return None;
+        };
+        self.last_use[i] = clock;
+        self.meta[i].last_access = now;
+        self.stats.hits.inc();
+        Some(self.line_at(i))
     }
 
     /// Peeks without touching recency or statistics.
     pub fn peek(&self, key: LineKey) -> Option<CacheLine> {
-        let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        (base..end)
-            .find(|&i| self.packed[i] == p)
-            .map(|i| self.line_at(i))
+        self.find(key).1.map(|i| self.line_at(i))
     }
 
     /// Marks a resident line dirty (write hit under write-back);
     /// returns whether the line was present.
     pub fn mark_dirty(&mut self, key: LineKey) -> bool {
-        let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        match (base..end).find(|&i| self.packed[i] == p) {
-            Some(i) => {
-                self.meta[i].dirty = true;
-                true
-            }
-            None => false,
+        let hit = self.find(key).1;
+        if let Some(i) = hit {
+            self.meta[i].dirty = true;
         }
+        hit.is_some()
     }
 
     /// Inserts a line, returning the victim it displaced (if any).
@@ -380,29 +380,25 @@ impl SetAssocCache {
     ) -> Option<CacheLine> {
         self.use_clock += 1;
         let clock = self.use_clock;
-        let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, mut end) = self.span(set);
-        for i in base..end {
-            if self.packed[i] == p {
-                let m = &mut self.meta[i];
-                m.perms = perms;
-                m.dirty |= dirty;
-                m.last_access = now;
-                self.last_use[i] = clock;
-                return None;
-            }
+        let (set, hit) = self.find(key);
+        if let Some(i) = hit {
+            let m = &mut self.meta[i];
+            m.perms = perms;
+            m.dirty |= dirty;
+            m.last_access = now;
+            self.last_use[i] = clock;
+            return None;
         }
+        let (base, mut end) = self.span(set);
         let mut victim = None;
         if end - base >= self.config.ways {
-            // First slot with the minimum use clock, in scan order —
-            // the same victim `min_by_key` picked on the old layout.
-            let mut idx = base;
-            for i in base + 1..end {
-                if self.last_use[i] < self.last_use[idx] {
-                    idx = i;
-                }
-            }
+            // `min_by_key` keeps the first minimum in scan order.
+            let (w, _) = self.last_use[base..end]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &u)| u)
+                .expect("a full set is not empty");
+            let idx = base + w;
             let v = self.swap_remove_slot(set, idx);
             self.stats.evictions.inc();
             if v.dirty {
@@ -412,8 +408,7 @@ impl SetAssocCache {
             end -= 1;
         }
         self.stats.fills.inc();
-        self.keys[end] = key;
-        self.packed[end] = p;
+        self.packed[end] = key.packed();
         self.last_use[end] = clock;
         self.meta[end] = LineMeta {
             perms,
@@ -427,10 +422,8 @@ impl SetAssocCache {
 
     /// Invalidates one line, returning it if it was present.
     pub fn invalidate(&mut self, key: LineKey) -> Option<CacheLine> {
-        let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, end) = self.span(set);
-        let i = (base..end).find(|&i| self.packed[i] == p)?;
+        let (set, hit) = self.find(key);
+        let i = hit?;
         self.stats.invalidations.inc();
         Some(self.swap_remove_slot(set, i))
     }
@@ -443,7 +436,7 @@ impl SetAssocCache {
             let base = set * self.config.ways;
             let mut i = base;
             while i < base + self.occupancy[set] as usize {
-                let k = self.keys[i];
+                let k = LineKey::from(self.packed[i]);
                 if k.asid == asid && k.page() == page {
                     removed.push(self.swap_remove_slot(set, i));
                 } else {
@@ -522,8 +515,9 @@ impl SetAssocCache {
             );
             let base = set * self.config.ways;
             for (w, slot) in slots.iter().enumerate() {
-                self.keys[base + w] = slot.line.key;
-                self.packed[base + w] = Self::pack(slot.line.key);
+                let k = slot.line.key;
+                self.packed[base + w] = AsidKey::checked(k.asid, k.line)
+                    .expect("cache snapshot line index exceeds 48 bits");
                 self.last_use[base + w] = slot.last_use;
                 self.meta[base + w] = LineMeta {
                     perms: slot.line.perms,
@@ -598,7 +592,10 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Default)]
 pub struct MshrFile {
-    inflight: FxHashMap<LineKey, Cycle>,
+    /// Fill completion by packed line key: 16 bytes a bucket. Every
+    /// miss probes one of these maps, so its footprint is host cache
+    /// footprint on the hot path.
+    inflight: FxHashMap<AsidKey, Cycle>,
     /// Latest registered fill completion: once `now` passes this
     /// watermark no entry can still be in flight, so the hot
     /// hit-path probes ([`MshrFile::pending`], [`MshrFile::check`])
@@ -620,12 +617,13 @@ impl MshrFile {
     /// entries (fills that completed in the past) are pruned lazily.
     pub fn check(&mut self, key: LineKey, now: Cycle) -> MshrOutcome {
         if now < self.latest_done {
-            if let Some(&done) = self.inflight.get(&key) {
+            let k = key.packed();
+            if let Some(&done) = self.inflight.get(&k) {
                 if done > now {
                     self.merges.inc();
                     return MshrOutcome::Merged { fill_done: done };
                 }
-                self.inflight.remove(&key);
+                self.inflight.remove(&k);
             }
         }
         self.primaries.inc();
@@ -640,13 +638,16 @@ impl MshrFile {
         if now >= self.latest_done {
             return None;
         }
-        self.inflight.get(&key).copied().filter(|&done| done > now)
+        self.inflight
+            .get(&key.packed())
+            .copied()
+            .filter(|&done| done > now)
     }
 
     /// Registers a primary miss's fill completion time.
     pub fn register(&mut self, key: LineKey, fill_done: Cycle) {
         self.latest_done = self.latest_done.max(fill_done);
-        self.inflight.insert(key, fill_done);
+        self.inflight.insert(key.packed(), fill_done);
         // Opportunistic pruning keeps the map small.
         if self.inflight.len() > 4096 {
             self.inflight.retain(|_, &mut done| done > fill_done);
@@ -669,11 +670,12 @@ impl MshrFile {
     /// [`MshrFile::register`] triggers on map population, so dropping
     /// stale entries here would change when it fires after restore.
     pub fn snapshot(&self) -> MshrSnapshot {
-        let mut inflight: Vec<(LineKey, Cycle)> =
-            self.inflight.iter().map(|(k, c)| (*k, *c)).collect();
-        inflight.sort_by_key(|(k, _)| (k.asid.0, k.line));
+        // Packed order is `(asid, line)` order.
+        let mut inflight: Vec<(AsidKey, Cycle)> =
+            self.inflight.iter().map(|(&k, &c)| (k, c)).collect();
+        inflight.sort_unstable_by_key(|&(k, _)| k);
         MshrSnapshot {
-            inflight,
+            inflight: inflight.into_iter().map(|(k, c)| (k.into(), c)).collect(),
             latest_done: self.latest_done,
             merges: self.merges,
             primaries: self.primaries,
@@ -683,9 +685,11 @@ impl MshrFile {
     /// Restores state captured by [`MshrFile::snapshot`].
     pub fn restore(&mut self, snap: &MshrSnapshot) {
         self.inflight.clear();
-        for &(k, c) in &snap.inflight {
-            self.inflight.insert(k, c);
-        }
+        self.inflight.extend(snap.inflight.iter().map(|&(k, c)| {
+            let k =
+                AsidKey::checked(k.asid, k.line).expect("MSHR snapshot line index exceeds 48 bits");
+            (k, c)
+        }));
         self.latest_done = snap.latest_done;
         self.merges = snap.merges;
         self.primaries = snap.primaries;
@@ -734,8 +738,8 @@ mod tests {
         let hi = (1u64 << 48) - 1;
         let lo = hi & 0xFFFF_FFFF;
         assert_ne!(
-            SetAssocCache::pack(LineKey::new(Asid(3), hi)),
-            SetAssocCache::pack(LineKey::new(Asid(3), lo)),
+            LineKey::new(Asid(3), hi).packed(),
+            LineKey::new(Asid(3), lo).packed(),
             "pack lost line-index bits above bit 31"
         );
         let mut c = SetAssocCache::new(CacheConfig::gpu_l1());
@@ -941,6 +945,58 @@ mod tests {
     }
 
     #[test]
+    fn mshr_homonyms_merge_and_spread_over_buckets() {
+        // 16 ASIDs x the same 256 line indices: exactly the 4,096
+        // entries the cap allows. Each key must keep its own fill, and
+        // the packed keys must spread over the buckets of a table that
+        // size. With the ASID in the low bits, or shifted above the line
+        // without the multiply fold, they crowd into 16 or 256 buckets.
+        use std::collections::BTreeMap;
+        use std::hash::BuildHasher;
+        let asids: Vec<u16> = (0..15).chain([u16::MAX]).collect();
+        let mut m = MshrFile::new();
+        let mut model = BTreeMap::new();
+        for (a, &asid) in asids.iter().enumerate() {
+            for line in 0..256u64 {
+                let done = Cycle::new(1_000 + line * 16 + a as u64);
+                m.register(LineKey::new(Asid(asid), line), done);
+                model.insert((asid, line), done);
+            }
+        }
+        assert_eq!(m.inflight.len(), 4096, "the cap must not fire");
+        let buckets: std::collections::HashSet<u64> = m
+            .inflight
+            .keys()
+            .map(|k| gvc_engine::FxBuildHasher::default().hash_one(k) & 8191)
+            .collect();
+        assert!(
+            buckets.len() >= 2048,
+            "4,096 homonym keys hit only {} of 8,192 buckets",
+            buckets.len()
+        );
+        for now in [Cycle::ZERO, Cycle::new(2_000), Cycle::new(10_000)] {
+            for (&(asid, line), &done) in &model {
+                let key = LineKey::new(Asid(asid), line);
+                let want = (done > now).then_some(done);
+                assert_eq!(m.pending(key, now), want, "{key:?} at {now}");
+            }
+        }
+        for (&(asid, line), &done) in &model {
+            assert_eq!(
+                m.check(LineKey::new(Asid(asid), line), Cycle::new(999)),
+                MshrOutcome::Merged { fill_done: done }
+            );
+        }
+        assert_eq!(m.merges(), 4096);
+        let snap = m.snapshot();
+        let want: Vec<(LineKey, Cycle)> = model
+            .iter()
+            .map(|(&(a, l), &d)| (LineKey::new(Asid(a), l), d))
+            .collect();
+        assert_eq!(snap.inflight, want, "snapshot order is (asid, line)");
+    }
+
+    #[test]
     fn mshr_merges_until_fill_completes() {
         let mut m = MshrFile::new();
         let k = key(9);
@@ -1031,7 +1087,11 @@ mod mshr_model {
     /// of the range, and onto line indices that include bit 47.
     fn key_of(asid: u16, line: u64) -> (u16, u64) {
         let asid = if asid == 15 { u16::MAX } else { asid };
-        let line = if line.is_multiple_of(7) { line | 1 << 47 } else { line };
+        let line = if line.is_multiple_of(7) {
+            line | 1 << 47
+        } else {
+            line
+        };
         (asid, line)
     }
 

@@ -24,7 +24,7 @@ use crate::config::MmuDesign;
 use crate::hierarchy::{MemorySystem, PHYS};
 use gvc_engine::RequestAttribution;
 use gvc_mem::{Asid, Vpn, LINES_PER_PAGE, PAGES_PER_LARGE};
-use gvc_tlb::Tlb;
+use gvc_tlb::{Tlb, TlbKey};
 use std::collections::{BTreeSet, HashMap};
 
 /// Accesses between full structural sweeps in paranoid mode. The cheap
@@ -368,7 +368,8 @@ impl MemorySystem {
             );
         }
         for (cu, inflight) in self.tlb_inflight.iter().enumerate() {
-            for key in inflight.keys() {
+            for &key in inflight.keys() {
+                let key = TlbKey::from(key);
                 assert_ne!(
                     key.asid, asid,
                     "CU {cu}: in-flight TLB fill for {:?} outlived its ASID",

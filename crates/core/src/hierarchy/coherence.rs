@@ -76,7 +76,7 @@ impl MemorySystem {
                 // a stale entry would merge a recycled tenant's first
                 // miss into the previous tenant's fill timing.
                 for inflight in &mut self.tlb_inflight {
-                    inflight.retain(|key, _| key.asid != *asid);
+                    inflight.retain(|key, _| key.asid() != *asid);
                 }
                 match self.cfg.design {
                     MmuDesign::Baseline => {}
@@ -109,8 +109,9 @@ impl MemorySystem {
         for tlb in &mut self.tlbs {
             tlb.invalidate(gvc_tlb::tlb::TlbKey::new(asid, vpn));
         }
+        let packed = gvc_tlb::tlb::TlbKey::new(asid, vpn).packed();
         self.tlb_inflight.iter_mut().for_each(|m| {
-            m.remove(&gvc_tlb::tlb::TlbKey::new(asid, vpn));
+            m.remove(&packed);
         });
         match self.cfg.design {
             MmuDesign::Baseline => now + Duration::new(50),
@@ -228,6 +229,7 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::hierarchy::LineAccess;
     use gvc_mem::{Asid, OsLite, Perms, ProcessId, VRange, PAGE_BYTES};
+    use gvc_tlb::tlb::TlbKey;
 
     fn setup(pages: u64) -> (OsLite, ProcessId, VRange) {
         let mut os = OsLite::new(256 << 20);
@@ -419,6 +421,63 @@ mod tests {
                 cfg.label()
             );
         }
+    }
+
+    #[test]
+    fn tlb_inflight_keys_match_reference_across_asid_range() {
+        // The per-CU in-flight translation maps store packed keys. Pin
+        // the packing at both ends of the ASID and VPN ranges against a
+        // sorted reference: lookup, snapshot order and restore, a
+        // one-page shootdown and a whole-ASID shootdown.
+        use std::collections::BTreeMap;
+        let mut mem = MemorySystem::new(SystemConfig::baseline_512());
+        let asids = [0, 1, u16::MAX - 1, u16::MAX].map(Asid);
+        let vpns = [0, 1, 0x1234, (1 << 36) - 1, (1 << 48) - 1].map(Vpn::new);
+        let mut model: Vec<BTreeMap<(u16, u64), Cycle>> = vec![BTreeMap::new(); 2];
+        for (cu, m) in model.iter_mut().enumerate() {
+            for (i, &asid) in asids.iter().enumerate() {
+                for (j, &vpn) in vpns.iter().enumerate() {
+                    let done = Cycle::new((cu * 100 + i * 10 + j) as u64 + 1);
+                    let key = TlbKey::new(asid, vpn);
+                    mem.tlb_inflight[cu].insert(key.packed(), done);
+                    m.insert((asid.0, vpn.raw()), done);
+                }
+            }
+        }
+        let agree = |mem: &MemorySystem, model: &[BTreeMap<(u16, u64), Cycle>]| {
+            let snap = mem.snapshot();
+            for (cu, m) in model.iter().enumerate() {
+                let want: Vec<(TlbKey, Cycle)> = m
+                    .iter()
+                    .map(|(&(a, v), &d)| (TlbKey::new(Asid(a), Vpn::new(v)), d))
+                    .collect();
+                assert_eq!(snap.tlb_inflight[cu], want, "CU {cu} snapshot");
+                for (&(a, v), &d) in m {
+                    let key = TlbKey::new(Asid(a), Vpn::new(v)).packed();
+                    assert_eq!(mem.tlb_inflight[cu].get(&key), Some(&d));
+                }
+                assert_eq!(mem.tlb_inflight[cu].len(), m.len());
+            }
+            let mut fresh = MemorySystem::new(SystemConfig::baseline_512());
+            fresh.restore(&snap);
+            assert_eq!(fresh.snapshot(), snap, "restore round trip");
+        };
+        agree(&mem, &model);
+        let (top, last) = (Asid(u16::MAX), vpns[4]);
+        mem.apply_shootdown(
+            &Shootdown::Pages {
+                asid: top,
+                vpns: vec![last],
+            },
+            Cycle::ZERO,
+        );
+        model.iter_mut().for_each(|m| {
+            m.remove(&(top.0, last.raw()));
+        });
+        agree(&mem, &model);
+        mem.apply_shootdown(&Shootdown::AllOf { asid: Asid(0) }, Cycle::ZERO);
+        model.iter_mut().for_each(|m| m.retain(|&(a, _), _| a != 0));
+        agree(&mem, &model);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use gvc_cache::{
 };
 use gvc_engine::time::{Cycle, Duration, Frequency};
 use gvc_engine::{FxHashMap, IntervalSummary, RateAccum, TraceCause, TraceHandle};
-use gvc_mem::{Asid, OsLite, Perms, Ppn, VAddr, LINES_PER_PAGE};
+use gvc_mem::{Asid, AsidKey, OsLite, Perms, Ppn, VAddr, LINES_PER_PAGE};
 use gvc_soc::{Directory, Dram, Noc};
 use gvc_tlb::iommu::{Iommu, IommuSnapshot};
 use gvc_tlb::tlb::{Tlb, TlbKey, TlbSnapshot, TlbStats};
@@ -155,8 +155,9 @@ pub struct MemorySystem {
     pub(crate) iommu: Iommu,
     /// Per-CU TLBs (baseline and L1-only designs).
     pub(crate) tlbs: Vec<Tlb>,
-    /// Per-CU in-flight translation fills (page-grain MSHRs).
-    pub(crate) tlb_inflight: Vec<FxHashMap<TlbKey, Cycle>>,
+    /// Per-CU in-flight translation fills (page-grain MSHRs), keyed
+    /// by packed [`TlbKey`] so a bucket is 16 bytes.
+    pub(crate) tlb_inflight: Vec<FxHashMap<AsidKey, Cycle>>,
     /// Per-CU watermark: the latest fill completion ever registered in
     /// `tlb_inflight[cu]`. Once the clock passes it, no entry can
     /// still be in flight and the hash probe is skipped.
@@ -450,6 +451,7 @@ impl MemorySystem {
         os: &OsLite,
     ) -> Result<(Ppn, Perms, Cycle, bool), (Cycle, AccessFault)> {
         let key = TlbKey::new(asid, vpn);
+        let packed = key.packed();
         let lookup_done = t + Duration::new(self.cfg.lat.per_cu_tlb);
         // A translation fill still in flight means this access *misses*:
         // the hardware entry is not valid yet. With MSHR-style merging
@@ -457,7 +459,7 @@ impl MemorySystem {
         // (the default) it issues its own IOMMU request and waits for
         // its own response.
         if lookup_done < self.tlb_inflight_until[cu] {
-            if let Some(&d) = self.tlb_inflight[cu].get(&key) {
+            if let Some(&d) = self.tlb_inflight[cu].get(&packed) {
                 if d > lookup_done {
                     if let Some(e) = self.tlbs[cu].peek(key) {
                         self.tlbs[cu].record_merged_miss();
@@ -499,7 +501,7 @@ impl MemorySystem {
             }
         }
         self.tlb_inflight_until[cu] = self.tlb_inflight_until[cu].max(ready);
-        self.tlb_inflight[cu].insert(key, ready);
+        self.tlb_inflight[cu].insert(packed, ready);
         if self.tlb_inflight[cu].len() > 1024 {
             let horizon = ready;
             self.tlb_inflight[cu].retain(|_, &mut d| d > horizon);
@@ -663,9 +665,10 @@ impl MemorySystem {
                 .tlb_inflight
                 .iter()
                 .map(|m| {
-                    let mut v: Vec<(TlbKey, Cycle)> = m.iter().map(|(&k, &d)| (k, d)).collect();
-                    v.sort_by_key(|&(k, _)| (k.asid.0, k.vpn.raw()));
-                    v
+                    // Packed order is `(asid, vpn)` order.
+                    let mut v: Vec<(AsidKey, Cycle)> = m.iter().map(|(&k, &d)| (k, d)).collect();
+                    v.sort_unstable_by_key(|&(k, _)| k);
+                    v.into_iter().map(|(k, d)| (k.into(), d)).collect()
                 })
                 .collect(),
             tlb_inflight_until: self.tlb_inflight_until.clone(),
@@ -716,9 +719,11 @@ impl MemorySystem {
         }
         for (m, s) in self.tlb_inflight.iter_mut().zip(&snap.tlb_inflight) {
             m.clear();
-            for &(k, d) in s {
-                m.insert(k, d);
-            }
+            m.extend(s.iter().map(|&(k, d)| {
+                let k = AsidKey::checked(k.asid, k.vpn.raw())
+                    .expect("in-flight TLB fill snapshot VPN exceeds 48 bits");
+                (k, d)
+            }));
         }
         self.tlb_inflight_until.clone_from(&snap.tlb_inflight_until);
         self.fbt.restore(&snap.fbt);

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Add;
 
 /// Bytes per base page (4 KB).
@@ -29,6 +30,78 @@ pub struct Asid(pub u16);
 impl fmt::Display for Asid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "asid{}", self.0)
+    }
+}
+
+impl Asid {
+    /// The ASID spread over all 64 bits by an odd-constant multiply.
+    /// XORed into a line or page index, it moves homonyms (one index in
+    /// several address spaces) apart in the low bits that set indexes
+    /// and hash buckets are taken from; a plain shift would leave the
+    /// ASID above them.
+    #[inline]
+    pub const fn fold(self) -> u64 {
+        (self.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// An ASID and a line or page index packed into one `u64`,
+/// `index | asid << 48`: the tag of the cache and TLB way scans and the
+/// key of the in-flight fill maps. Line indices and VPNs of 48-bit
+/// addresses fit in the low 48 bits.
+///
+/// The packed order is `(asid, index)` order. [`Hash`] feeds the index
+/// XOR [`Asid::fold`], so keys of one address space spread over the
+/// buckets by index and homonyms do not share one.
+///
+/// ```
+/// use gvc_mem::{Asid, AsidKey};
+///
+/// let k = AsidKey::new(Asid(7), 0x1234);
+/// assert_eq!((k.asid(), k.index()), (Asid(7), 0x1234));
+/// assert!(AsidKey::new(Asid(1), 9) < AsidKey::new(Asid(2), 0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct AsidKey(u64);
+
+impl AsidKey {
+    /// Bits below the ASID that hold the index.
+    pub const INDEX_BITS: u32 = 48;
+
+    /// Packs `asid` and `index`; `index` must fit in
+    /// [`Self::INDEX_BITS`] bits (callers check in debug builds).
+    #[inline]
+    pub const fn new(asid: Asid, index: u64) -> Self {
+        AsidKey(index | (asid.0 as u64) << Self::INDEX_BITS)
+    }
+
+    /// [`Self::new`] for untrusted input, such as a checkpoint: `None`
+    /// when `index` does not fit.
+    pub const fn checked(asid: Asid, index: u64) -> Option<Self> {
+        if index >> Self::INDEX_BITS == 0 {
+            Some(Self::new(asid, index))
+        } else {
+            None
+        }
+    }
+
+    /// The address space.
+    #[inline]
+    pub const fn asid(self) -> Asid {
+        Asid((self.0 >> Self::INDEX_BITS) as u16)
+    }
+
+    /// The line or page index.
+    #[inline]
+    pub const fn index(self) -> u64 {
+        self.0 & ((1 << Self::INDEX_BITS) - 1)
+    }
+}
+
+impl Hash for AsidKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.index() ^ self.asid().fold());
     }
 }
 

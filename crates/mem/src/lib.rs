@@ -8,7 +8,7 @@
 //!
 //! * [`addr`] — virtual/physical address newtypes, page and cache-line
 //!   geometry ([`VAddr`], [`PAddr`], [`Vpn`], [`Ppn`], [`Asid`],
-//!   [`VRange`]).
+//!   [`AsidKey`], [`VRange`]).
 //! * [`perms`] — page permissions ([`Perms`]).
 //! * [`phys`] — physical frame allocation and the simulated physical
 //!   memory that holds page-table frames ([`PhysMem`]).
@@ -48,7 +48,9 @@ pub mod perms;
 pub mod phys;
 pub mod space;
 
-pub use addr::{Asid, PAddr, Ppn, VAddr, VRange, Vpn, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
+pub use addr::{
+    Asid, AsidKey, PAddr, Ppn, VAddr, VRange, Vpn, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES,
+};
 pub use os::{OsLite, OsSnapshot, ProcessId, Shootdown};
 pub use page_table::{PageTable, WalkOutcome, WalkPath, PAGES_PER_LARGE, PT_LEVELS};
 pub use perms::Perms;

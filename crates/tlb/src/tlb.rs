@@ -7,7 +7,7 @@
 
 use gvc_engine::time::Cycle;
 use gvc_engine::{Counter, FxHashMap};
-use gvc_mem::{Asid, Perms, Ppn, Vpn};
+use gvc_mem::{Asid, AsidKey, Perms, Ppn, Vpn};
 use serde::{Deserialize, Serialize};
 
 /// The lookup key: address space + virtual page.
@@ -23,6 +23,24 @@ impl TlbKey {
     /// Builds a key.
     pub fn new(asid: Asid, vpn: Vpn) -> Self {
         TlbKey { asid, vpn }
+    }
+
+    /// The key packed into one `u64` ([`AsidKey`]), the form the tag
+    /// arrays and in-flight fill maps store.
+    #[inline]
+    pub fn packed(self) -> AsidKey {
+        debug_assert!(
+            self.vpn.raw() >> AsidKey::INDEX_BITS == 0,
+            "VPN exceeds 48 bits"
+        );
+        AsidKey::new(self.asid, self.vpn.raw())
+    }
+}
+
+impl From<AsidKey> for TlbKey {
+    #[inline]
+    fn from(k: AsidKey) -> Self {
+        TlbKey::new(k.asid(), Vpn::new(k.index()))
     }
 }
 
@@ -137,10 +155,6 @@ impl TlbConfig {
 
 /// Filler for unoccupied flat-array slots (never observable: scans
 /// stop at each set's occupancy).
-const EMPTY_KEY: TlbKey = TlbKey {
-    asid: Asid(0),
-    vpn: Vpn::new(0),
-};
 const EMPTY_ENTRY: TlbEntry = TlbEntry {
     ppn: Ppn::new(0),
     perms: Perms::NONE,
@@ -196,28 +210,24 @@ pub struct Tlb {
     /// Struct-of-arrays bounded storage, strided by way: slot `(s, w)`
     /// lives at `s*ways + w`; set `s` occupies
     /// `s*ways .. s*ways + occupancy[s]`. The way scan touches only
-    /// `keys`; within-set slot order replicates the previous per-set
-    /// `Vec` exactly (append on fill, swap-remove on evict, ordered
-    /// compaction on invalidate).
-    keys: Vec<TlbKey>,
-    /// The same keys packed to one `u64` each ([`Self::pack`]), kept
-    /// in lockstep with `keys`: the way scan compares these, because a
-    /// padded struct compare defeats vectorization and a dense `u64`
-    /// compare does not.
-    packed: Vec<u64>,
+    /// the packed tags ([`TlbKey::packed`]); a [`TlbKey`] is unpacked
+    /// from its tag when one is needed. Within-set slot order is
+    /// append on fill, swap-remove on evict and ordered compaction on
+    /// invalidate.
+    packed: Vec<AsidKey>,
     entries: Vec<TlbEntry>,
     last_use: Vec<u64>,
     occupancy: Vec<u32>,
     /// Infinite organization storage.
     unbounded: FxHashMap<TlbKey, TlbEntry>,
-    /// MRU hint: `(key, slot, set)` of the most recent bounded hit or
+    /// MRU hint: `(tag, slot, set)` of the most recent bounded hit or
     /// insert. Coalesced line requests translate the same page many
     /// times back to back; the hint lets [`Self::lookup`] skip the
     /// index fold and way scan for those repeats. Purely an
     /// accelerator: it is verified against the live span before use
     /// (keys are unique, so a verified match IS the entry), and a
     /// stale hint just falls back to the scan.
-    last_hit: Option<(TlbKey, usize, usize)>,
+    last_hit: Option<(AsidKey, usize, usize)>,
     ways: usize,
     use_clock: u64,
     stats: TlbStats,
@@ -260,8 +270,7 @@ impl Tlb {
             config,
             n_sets: nsets,
             set_mask: (nsets > 0 && nsets.is_power_of_two()).then(|| nsets as u64 - 1),
-            keys: vec![EMPTY_KEY; total],
-            packed: vec![0; total],
+            packed: vec![AsidKey::default(); total],
             entries: vec![EMPTY_ENTRY; total],
             last_use: vec![0; total],
             occupancy: vec![0; nsets],
@@ -335,21 +344,12 @@ impl Tlb {
         matches!(self.config.organization, TlbOrganization::Infinite)
     }
 
-    /// Packs a key into one `u64` for the way scan. VPNs of 48-bit
-    /// virtual addresses are at most 36 bits, so the ASID fits below.
-    #[inline]
-    fn pack(key: TlbKey) -> u64 {
-        debug_assert!(key.vpn.raw() >> 48 == 0, "VPN exceeds 48 bits");
-        (key.vpn.raw() << 16) | key.asid.0 as u64
-    }
-
     fn set_index(&self, key: TlbKey) -> usize {
         // Mix the ASID in so homonym-heavy workloads spread across sets.
         // An odd-constant multiply folds ASID bits below the set-index
         // width; a plain left shift would put them above the modulus
         // (at most 2^11 sets here) and be discarded entirely.
-        let mix = (key.asid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let folded = key.vpn.raw() ^ mix;
+        let folded = key.vpn.raw() ^ key.asid.fold();
         // Identical result either way; the mask path skips the division.
         match self.set_mask {
             Some(mask) => (folded & mask) as usize,
@@ -362,6 +362,15 @@ impl Tlb {
     fn span(&self, set: usize) -> (usize, usize) {
         let base = set * self.ways;
         (base, base + self.occupancy[set] as usize)
+    }
+
+    /// The slot of tag `p` in `set`, if resident: one way scan over
+    /// the set's tag slice.
+    #[inline]
+    fn find(&self, set: usize, p: AsidKey) -> Option<usize> {
+        let (base, end) = self.span(set);
+        let w = self.packed[base..end].iter().position(|&t| t == p)?;
+        Some(base + w)
     }
 
     /// Looks up a translation, updating recency on a hit.
@@ -399,10 +408,11 @@ impl Tlb {
         } else {
             self.use_clock += 1;
             let clock = self.use_clock;
-            if let Some((hk, idx, hset)) = self.last_hit {
-                if hk == key {
+            let p = key.packed();
+            if let Some((hp, idx, hset)) = self.last_hit {
+                if hp == p {
                     let (base, end) = self.span(hset);
-                    if idx >= base && idx < end && self.keys[idx] == key {
+                    if idx >= base && idx < end && self.packed[idx] == p {
                         self.last_use[idx] = clock;
                         self.stats.hits.inc();
                         return Some(self.entries[idx]);
@@ -410,18 +420,11 @@ impl Tlb {
                 }
             }
             let set = self.set_index(key);
-            let p = Self::pack(key);
-            let (base, end) = self.span(set);
-            let mut hit = None;
-            for i in base..end {
-                if self.packed[i] == p {
-                    self.last_use[i] = clock;
-                    self.last_hit = Some((key, i, set));
-                    hit = Some(self.entries[i]);
-                    break;
-                }
-            }
-            hit
+            self.find(set, p).map(|i| {
+                self.last_use[i] = clock;
+                self.last_hit = Some((p, i, set));
+                self.entries[i]
+            })
         };
         if found.is_some() {
             self.stats.hits.inc();
@@ -455,11 +458,7 @@ impl Tlb {
         if self.is_infinite() {
             self.unbounded.get(&key).copied()
         } else {
-            let set = self.set_index(key);
-            let p = Self::pack(key);
-            let (base, end) = self.span(set);
-            (base..end)
-                .find(|&i| self.packed[i] == p)
+            self.find(self.set_index(key), key.packed())
                 .map(|i| self.entries[i])
         }
     }
@@ -479,31 +478,27 @@ impl Tlb {
         self.use_clock += 1;
         let clock = self.use_clock;
         let set = self.set_index(key);
-        let p = Self::pack(key);
-        let (base, mut end) = self.span(set);
-        for i in base..end {
-            if self.packed[i] == p {
-                self.entries[i] = entry;
-                self.last_use[i] = clock;
-                self.last_hit = Some((key, i, set));
-                return None;
-            }
+        let p = key.packed();
+        if let Some(i) = self.find(set, p) {
+            self.entries[i] = entry;
+            self.last_use[i] = clock;
+            self.last_hit = Some((p, i, set));
+            return None;
         }
+        let (base, mut end) = self.span(set);
         let mut displaced = None;
         if end - base >= self.ways {
-            // First slot with the minimum use clock, in scan order —
-            // the same victim `min_by_key` picked on the old layout.
-            let mut victim = base;
-            for i in base + 1..end {
-                if self.last_use[i] < self.last_use[victim] {
-                    victim = i;
-                }
-            }
-            let v_key = self.keys[victim];
+            // `min_by_key` keeps the first minimum in scan order.
+            let (w, _) = self.last_use[base..end]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &u)| u)
+                .expect("a full set is not empty");
+            let victim = base + w;
+            let v_key = self.packed[victim].into();
             let v_entry = self.entries[victim];
             // swap_remove: the set's last slot moves into the hole.
             let last = end - 1;
-            self.keys[victim] = self.keys[last];
             self.packed[victim] = self.packed[last];
             self.entries[victim] = self.entries[last];
             self.last_use[victim] = self.last_use[last];
@@ -516,12 +511,11 @@ impl Tlb {
                 evicted_at: now,
             });
         }
-        self.keys[end] = key;
         self.packed[end] = p;
         self.entries[end] = entry;
         self.last_use[end] = clock;
         self.occupancy[set] += 1;
-        self.last_hit = Some((key, end, set));
+        self.last_hit = Some((p, end, set));
         displaced
     }
 
@@ -563,9 +557,8 @@ impl Tlb {
         let (base, end) = self.span(set);
         let mut write = base;
         for read in base..end {
-            if keep(self.keys[read]) {
+            if keep(self.packed[read].into()) {
                 if write != read {
-                    self.keys[write] = self.keys[read];
                     self.packed[write] = self.packed[read];
                     self.entries[write] = self.entries[read];
                     self.last_use[write] = self.last_use[read];
@@ -643,7 +636,7 @@ impl Tlb {
     pub fn iter(&self) -> impl Iterator<Item = (TlbKey, TlbEntry)> + '_ {
         let bounded = (0..self.n_sets).flat_map(move |set| {
             let (base, end) = self.span(set);
-            (base..end).map(move |i| (self.keys[i], self.entries[i]))
+            (base..end).map(move |i| (self.packed[i].into(), self.entries[i]))
         });
         let unbounded = self.unbounded.iter().map(|(k, e)| (*k, *e));
         bounded.chain(unbounded)
@@ -661,7 +654,7 @@ impl Tlb {
                 let (base, end) = self.span(set);
                 (base..end)
                     .map(|i| TlbSlotSnapshot {
-                        key: self.keys[i],
+                        key: self.packed[i].into(),
                         entry: self.entries[i],
                         last_use: self.last_use[i],
                     })
@@ -706,8 +699,8 @@ impl Tlb {
             );
             let base = set * self.ways;
             for (w, slot) in slots.iter().enumerate() {
-                self.keys[base + w] = slot.key;
-                self.packed[base + w] = Self::pack(slot.key);
+                self.packed[base + w] = AsidKey::checked(slot.key.asid, slot.key.vpn.raw())
+                    .expect("TLB snapshot VPN exceeds 48 bits");
                 self.entries[base + w] = slot.entry;
                 self.last_use[base + w] = slot.last_use;
             }
@@ -788,8 +781,8 @@ mod tests {
         let hi = Vpn::new((1u64 << 48) - 1);
         let lo = Vpn::new(((1u64 << 48) - 1) & 0xFFFF_FFFF);
         assert_ne!(
-            Tlb::pack(TlbKey::new(Asid(3), hi)),
-            Tlb::pack(TlbKey::new(Asid(3), lo)),
+            TlbKey::new(Asid(3), hi).packed(),
+            TlbKey::new(Asid(3), lo).packed(),
             "pack lost VPN bits above bit 31"
         );
         let mut tlb = Tlb::new(TlbConfig::per_cu(8));
