@@ -670,12 +670,11 @@ impl MshrFile {
     /// [`MshrFile::register`] triggers on map population, so dropping
     /// stale entries here would change when it fires after restore.
     pub fn snapshot(&self) -> MshrSnapshot {
-        // Packed order is `(asid, line)` order.
-        let mut inflight: Vec<(AsidKey, Cycle)> =
-            self.inflight.iter().map(|(&k, &c)| (k, c)).collect();
-        inflight.sort_unstable_by_key(|&(k, _)| k);
+        let mut inflight: Vec<(LineKey, Cycle)> =
+            self.inflight.iter().map(|(&k, &c)| (k.into(), c)).collect();
+        inflight.sort_by_key(|(k, _)| (k.asid.0, k.line));
         MshrSnapshot {
-            inflight: inflight.into_iter().map(|(k, c)| (k.into(), c)).collect(),
+            inflight,
             latest_done: self.latest_done,
             merges: self.merges,
             primaries: self.primaries,

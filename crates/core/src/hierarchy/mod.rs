@@ -665,10 +665,10 @@ impl MemorySystem {
                 .tlb_inflight
                 .iter()
                 .map(|m| {
-                    // Packed order is `(asid, vpn)` order.
-                    let mut v: Vec<(AsidKey, Cycle)> = m.iter().map(|(&k, &d)| (k, d)).collect();
-                    v.sort_unstable_by_key(|&(k, _)| k);
-                    v.into_iter().map(|(k, d)| (k.into(), d)).collect()
+                    let mut v: Vec<(TlbKey, Cycle)> =
+                        m.iter().map(|(&k, &d)| (k.into(), d)).collect();
+                    v.sort_by_key(|&(k, _)| (k.asid.0, k.vpn.raw()));
+                    v
                 })
                 .collect(),
             tlb_inflight_until: self.tlb_inflight_until.clone(),

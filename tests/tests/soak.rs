@@ -141,6 +141,25 @@ fn overflow_pwc_set(pwc: &mut Value) {
     }
 }
 
+/// Sets the first integer field named `key` under `v` to 2^48, one past
+/// the index bits a packed cache, TLB or MSHR key holds.
+fn widen(v: &mut Value, key: &str) {
+    fn set_first(v: &mut Value, key: &str) -> bool {
+        match v {
+            Value::Map(m) => m.iter_mut().any(|(k, x)| match x {
+                Value::UInt(n) if k == key => {
+                    *n = 1 << 48;
+                    true
+                }
+                _ => set_first(x, key),
+            }),
+            Value::Seq(s) => s.iter_mut().any(|x| set_first(x, key)),
+            _ => false,
+        }
+    }
+    assert!(set_first(v, key), "no `{key}` to widen");
+}
+
 /// Each restore-time check on a checkpoint's components still fires:
 /// one real checkpoint, mutated at one JSON path per case, must make
 /// `SoakSim::restore` panic with that component's message.
@@ -153,7 +172,7 @@ fn restore_rejects_each_mismatched_component() {
     sim.run_epoch();
     sim.run_epoch();
     let base = sim.snapshot().to_value();
-    let cases: [(&str, Mutation, &str); 9] = [
+    let cases: [(&str, Mutation, &str); 12] = [
         ("mem.dram.config", bump, "DRAM snapshot config mismatch"),
         (
             "mem.dir.lookup_latency",
@@ -179,6 +198,21 @@ fn restore_rejects_each_mismatched_component() {
         ("plan.cfg", bump, "inject plan snapshot config mismatch"),
         ("mem.srt", drop_last, "snapshot CU count mismatch in srt"),
         ("mem.tlbs", drop_last, "snapshot CU count mismatch in tlbs"),
+        (
+            "mem.l2.banks[0].sets",
+            |v| widen(v, "line"),
+            "cache snapshot line index exceeds 48 bits",
+        ),
+        (
+            "mem.l2_mshr.inflight",
+            |v| widen(v, "line"),
+            "MSHR snapshot line index exceeds 48 bits",
+        ),
+        (
+            "mem.iommu.tlb.sets",
+            |v| widen(v, "vpn"),
+            "TLB snapshot VPN exceeds 48 bits",
+        ),
     ];
     SoakSim::new(&cfg, sys).restore(&SoakCheckpoint::from_value(&base).expect("checkpoint"));
     for (path, mutate, expected) in cases {
