@@ -113,6 +113,26 @@ done
     --state "$soak_dir/state" --checkpoint-every 2 --json "$soak_dir/resumed"
 cmp "$soak_dir/clean/soak.json" "$soak_dir/resumed/soak.json"
 
+echo "== soak checkpoint decode/encode smoke (release)"
+# Reading a checkpoint and writing it back changes no byte: a run that
+# resumes its epoch-2 checkpoint and is killed again after epoch 3 must
+# leave the same epoch-3 checkpoint as a run killed after epoch 3 from
+# the start, for both designs.
+soak_drill() {
+    local status=0
+    ./target/release/repro soak "${soak_flags[@]}" --state "$1" --kill-after "$2" || status=$?
+    if [ "$status" -ne 76 ]; then
+        echo "soak --kill-after $2 exited $status, expected 76" >&2
+        exit 1
+    fi
+}
+soak_drill "$soak_dir/twice" 2
+soak_drill "$soak_dir/twice" 3
+soak_drill "$soak_dir/once" 3
+for design in baseline vc; do
+    cmp "$soak_dir/twice/soak_$design.ckpt.json" "$soak_dir/once/soak_$design.ckpt.json"
+done
+
 echo "== reach figure smoke (release)"
 # Reach-vs-filter figure (DESIGN.md §13): one seeded collection at two
 # --jobs values; the exported JSON must be byte-identical — the huge

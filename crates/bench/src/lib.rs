@@ -32,6 +32,26 @@ pub fn to_json_pretty_checked<T: serde::Serialize + ?Sized>(label: &str, x: &T) 
     w.into_string()
 }
 
+/// [`to_json_pretty_checked`] written to a new file at `path` as it is
+/// made, so the whole text is never in memory at once. When the writer
+/// saw a non-finite number, the file is removed before the panic.
+pub fn write_json_pretty_checked<T: serde::Serialize + ?Sized>(
+    label: &str,
+    x: &T,
+    path: &str,
+) -> Result<(), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut w = serde::JsonWriter::pretty_into(file);
+    x.serialize(&mut w);
+    if w.saw_nonfinite() {
+        drop(w);
+        let _ = std::fs::remove_file(path);
+        assert_json_finite(label, &x.to_value());
+        unreachable!("{label}: the writer saw a non-finite number the tree lacks");
+    }
+    w.finish().map_err(|e| format!("{path}: {e}"))
+}
+
 /// Panics if any number in the JSON tree under `v` is non-finite,
 /// naming the `$`-rooted path of the offender. The vendored
 /// serializer emits `null` for NaN/inf, so this must run on the

@@ -192,12 +192,13 @@ pub fn checkpoint_path(state_dir: &str, design: &str) -> String {
     format!("{state_dir}/soak_{design}.ckpt.json")
 }
 
-/// Writes a checkpoint atomically (tmp + rename). A non-finite number
-/// in the state panics, naming its path, before anything is written.
+/// Writes a checkpoint atomically (tmp + rename), streaming the text
+/// so a soak that checkpoints every epoch never holds a whole
+/// checkpoint's text. A non-finite number in the state panics, naming
+/// its path, and leaves neither the checkpoint nor its `.tmp` file.
 pub fn save_checkpoint(path: &str, ckpt: &SoakCheckpoint) -> Result<(), String> {
-    let json = crate::to_json_pretty_checked("soak checkpoint", ckpt);
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, json).map_err(|e| format!("{tmp}: {e}"))?;
+    crate::write_json_pretty_checked("soak checkpoint", ckpt, &tmp)?;
     std::fs::rename(&tmp, path).map_err(|e| format!("{path}: {e}"))
 }
 

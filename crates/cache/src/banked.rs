@@ -9,7 +9,7 @@ use crate::cache::{CacheConfig, CacheLine, CacheSnapshot, CacheStats, LineKey, S
 use gvc_engine::time::Cycle;
 use gvc_engine::ThroughputPort;
 use gvc_mem::{Asid, Perms};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize};
 
 /// A multi-banked cache: N independent [`SetAssocCache`] banks with
 /// per-bank service ports.
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // Consecutive lines land in different banks.
 /// assert_ne!(l2.bank_of(LineKey::new(Asid(0), 0)), l2.bank_of(LineKey::new(Asid(0), 1)));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BankedCache {
     banks: Vec<SetAssocCache>,
     ports: Vec<ThroughputPort>,
@@ -144,14 +144,7 @@ impl BankedCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for b in &self.banks {
-            let s = b.stats();
-            total.lookups.add(s.lookups.get());
-            total.hits.add(s.hits.get());
-            total.misses.add(s.misses.get());
-            total.fills.add(s.fills.get());
-            total.evictions.add(s.evictions.get());
-            total.writebacks.add(s.writebacks.get());
-            total.invalidations.add(s.invalidations.get());
+            total.merge(&b.stats());
         }
         total
     }
@@ -170,23 +163,33 @@ impl BankedCache {
         }
     }
 
-    /// Restores state captured by [`BankedCache::snapshot`]. The cache
-    /// must have been built with the same geometry.
+    /// Rebuilds a banked cache from its mirror: every bank from its own
+    /// mirror, with one port per bank.
+    pub fn from_snapshot(snap: &BankedCacheSnapshot) -> Result<Self, Error> {
+        let banks = snap.banks.iter().map(SetAssocCache::from_snapshot);
+        let banks = banks.collect::<Result<Vec<_>, _>>()?;
+        let n = banks.len();
+        if n == 0 || snap.ports.len() != n {
+            return Err(Error::msg("banked cache snapshot port count mismatch"));
+        }
+        Ok(BankedCache {
+            bank_mask: n.is_power_of_two().then(|| n as u64 - 1),
+            banks,
+            ports: snap.ports.clone(),
+        })
+    }
+
+    /// Restores `snap` into this cache, which must have been built
+    /// with the same geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's bank count or any bank geometry does
-    /// not match.
-    pub fn restore(&mut self, snap: &BankedCacheSnapshot) {
+    /// Panics if the bank count or any bank's configuration differs.
+    pub fn restore(&mut self, snap: &BankedCache) {
         assert_eq!(
             snap.banks.len(),
             self.banks.len(),
             "banked cache snapshot bank count mismatch"
-        );
-        assert_eq!(
-            snap.ports.len(),
-            self.ports.len(),
-            "banked cache snapshot port count mismatch"
         );
         for (bank, s) in self.banks.iter_mut().zip(&snap.banks) {
             bank.restore(s);
@@ -194,6 +197,8 @@ impl BankedCache {
         self.ports.clone_from(&snap.ports);
     }
 }
+
+gvc_engine::checkpoint_via_mirror!(BankedCache, BankedCacheSnapshot);
 
 /// Full serializable state of a [`BankedCache`]
 /// (see [`BankedCache::snapshot`]). A mirror, because each bank is

@@ -1,9 +1,9 @@
 //! Set-associative tag-store cache with LRU replacement and MSHRs.
 
 use gvc_engine::time::Cycle;
-use gvc_engine::{Counter, FxHashMap};
+use gvc_engine::{Counter, EntryKey, SortedMap};
 use gvc_mem::{Asid, AsidKey, Perms, LINES_PER_PAGE, LINE_BYTES};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize};
 
 /// Identifies a cached line: an address space plus a global line index
 /// (`address / 128`). For physical caches the ASID is
@@ -51,6 +51,17 @@ impl From<AsidKey> for LineKey {
         LineKey::new(k.asid(), k.index())
     }
 }
+
+/// The checked pack of an MSHR checkpoint key (see [`MshrFile`]).
+impl TryFrom<LineKey> for AsidKey {
+    type Error = &'static str;
+
+    fn try_from(k: LineKey) -> Result<Self, Self::Error> {
+        AsidKey::checked(k.asid, k.line).ok_or("MSHR snapshot line index exceeds 48 bits")
+    }
+}
+
+impl EntryKey for LineKey {}
 
 /// Write-handling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -166,6 +177,18 @@ impl CacheStats {
     pub fn hit_ratio(&self) -> f64 {
         self.hits.ratio_of(self.lookups.get())
     }
+
+    /// Folds another cache's statistics into these, counter by
+    /// counter (see [`Counter::merge`]).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.lookups.merge(&other.lookups);
+        self.hits.merge(&other.hits);
+        self.misses.merge(&other.misses);
+        self.fills.merge(&other.fills);
+        self.evictions.merge(&other.evictions);
+        self.writebacks.merge(&other.writebacks);
+        self.invalidations.merge(&other.invalidations);
+    }
 }
 
 /// Per-line metadata kept apart from the tag (see the struct-of-arrays
@@ -202,7 +225,7 @@ struct LineMeta {
 /// l1.insert(key, Perms::READ_WRITE, false, Cycle::new(5));
 /// assert!(l1.lookup(key, Cycle::new(6)).is_some());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     n_sets: usize,
@@ -492,46 +515,47 @@ impl SetAssocCache {
         }
     }
 
-    /// Restores state captured by [`SetAssocCache::snapshot`] into this
-    /// cache, which must have been built with the same configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's geometry does not match, or a set holds
-    /// more slots than the geometry allows.
-    pub fn restore(&mut self, snap: &CacheSnapshot) {
-        assert_eq!(self.config, snap.config, "cache snapshot config mismatch");
-        assert_eq!(
-            snap.sets.len(),
-            self.n_sets,
-            "cache snapshot set count mismatch"
-        );
-        self.occupancy.fill(0);
+    /// Rebuilds a cache from its mirror, checking the mirror's own
+    /// geometry: one slot list per set, none longer than the ways, and
+    /// every line index within 48 bits.
+    pub fn from_snapshot(snap: &CacheSnapshot) -> Result<Self, Error> {
+        // Geometry first: the allocation below is sized by the config.
+        let (lines, ways) = (snap.config.lines(), snap.config.ways);
+        if lines == 0 || snap.sets.len().checked_mul(ways) != Some(lines) {
+            return Err(Error::msg("cache snapshot set count mismatch"));
+        }
+        let mut c = SetAssocCache::new(snap.config);
         for (set, slots) in snap.sets.iter().enumerate() {
-            assert!(
-                slots.len() <= self.config.ways,
-                "cache snapshot set {set} overflows {} ways",
-                self.config.ways
-            );
-            let base = set * self.config.ways;
-            for (w, slot) in slots.iter().enumerate() {
+            if slots.len() > ways {
+                return Err(Error::msg(format!(
+                    "cache snapshot set {set} overflows {ways} ways"
+                )));
+            }
+            for (i, slot) in (set * ways..).zip(slots) {
                 let k = slot.line.key;
-                self.packed[base + w] = AsidKey::checked(k.asid, k.line)
-                    .expect("cache snapshot line index exceeds 48 bits");
-                self.last_use[base + w] = slot.last_use;
-                self.meta[base + w] = LineMeta {
+                c.packed[i] = AsidKey::checked(k.asid, k.line)
+                    .ok_or_else(|| Error::msg("cache snapshot line index exceeds 48 bits"))?;
+                c.last_use[i] = slot.last_use;
+                c.meta[i] = LineMeta {
                     perms: slot.line.perms,
                     dirty: slot.line.dirty,
                     inserted_at: slot.line.inserted_at,
                     last_access: slot.line.last_access,
                 };
             }
-            self.occupancy[set] = slots.len() as u32;
+            c.occupancy[set] = slots.len() as u32;
         }
-        self.use_clock = snap.use_clock;
-        self.stats = snap.stats;
+        c.use_clock = snap.use_clock;
+        c.stats = snap.stats;
+        Ok(c)
     }
 }
+
+gvc_engine::checkpoint_via_mirror!(
+    SetAssocCache,
+    CacheSnapshot,
+    "cache snapshot config mismatch"
+);
 
 /// One resident cache slot, in within-set scan order. A mirror, because
 /// the live cache keeps its slots as SoA tag arrays.
@@ -545,7 +569,7 @@ pub struct CacheSlotSnapshot {
 
 /// Full serializable state of a [`SetAssocCache`]
 /// (see [`SetAssocCache::snapshot`]). A mirror, because the SoA tag
-/// arrays and occupancy counts are rebuilt on restore.
+/// arrays and occupancy counts are rebuilt from it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// Geometry and policy (validated on restore).
@@ -590,12 +614,15 @@ pub enum MshrOutcome {
 ///     other => panic!("expected merge, got {other:?}"),
 /// }
 /// ```
-#[derive(Debug, Default)]
+///
+/// The file is its own checkpoint. It keeps stale entries too, because
+/// the size-capped prune in [`MshrFile::register`] fires on map size.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MshrFile {
     /// Fill completion by packed line key: 16 bytes a bucket. Every
     /// miss probes one of these maps, so its footprint is host cache
     /// footprint on the hot path.
-    inflight: FxHashMap<AsidKey, Cycle>,
+    inflight: SortedMap<AsidKey, Cycle, LineKey>,
     /// Latest registered fill completion: once `now` passes this
     /// watermark no entry can still be in flight, so the hot
     /// hit-path probes ([`MshrFile::pending`], [`MshrFile::check`])
@@ -663,52 +690,6 @@ impl MshrFile {
     pub fn primaries(&self) -> u64 {
         self.primaries.get()
     }
-
-    /// Captures the MSHR file's full state for checkpointing. Every
-    /// in-flight entry is captured — including stale ones awaiting the
-    /// lazy prune — because the size-capped prune in
-    /// [`MshrFile::register`] triggers on map population, so dropping
-    /// stale entries here would change when it fires after restore.
-    pub fn snapshot(&self) -> MshrSnapshot {
-        let mut inflight: Vec<(LineKey, Cycle)> =
-            self.inflight.iter().map(|(&k, &c)| (k.into(), c)).collect();
-        inflight.sort_by_key(|(k, _)| (k.asid.0, k.line));
-        MshrSnapshot {
-            inflight,
-            latest_done: self.latest_done,
-            merges: self.merges,
-            primaries: self.primaries,
-        }
-    }
-
-    /// Restores state captured by [`MshrFile::snapshot`].
-    pub fn restore(&mut self, snap: &MshrSnapshot) {
-        self.inflight.clear();
-        self.inflight.extend(snap.inflight.iter().map(|&(k, c)| {
-            let k =
-                AsidKey::checked(k.asid, k.line).expect("MSHR snapshot line index exceeds 48 bits");
-            (k, c)
-        }));
-        self.latest_done = snap.latest_done;
-        self.merges = snap.merges;
-        self.primaries = snap.primaries;
-    }
-}
-
-/// Full serializable state of an [`MshrFile`] (see
-/// [`MshrFile::snapshot`]). A mirror, because the in-flight hash map
-/// is stored as `(asid, line)`-sorted pairs so serialization is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MshrSnapshot {
-    /// In-flight (and stale-unpruned) fills, sorted by key.
-    pub inflight: Vec<(LineKey, Cycle)>,
-    /// The fill-completion watermark.
-    pub latest_done: Cycle,
-    /// Merged-miss counter.
-    pub merges: Counter,
-    /// Primary-miss counter.
-    pub primaries: Counter,
 }
 
 #[cfg(test)]
@@ -987,12 +968,16 @@ mod tests {
             );
         }
         assert_eq!(m.merges(), 4096);
-        let snap = m.snapshot();
         let want: Vec<(LineKey, Cycle)> = model
             .iter()
             .map(|(&(a, l), &d)| (LineKey::new(Asid(a), l), d))
             .collect();
-        assert_eq!(snap.inflight, want, "snapshot order is (asid, line)");
+        assert_eq!(written_inflight(&m), want, "snapshot order is (asid, line)");
+    }
+
+    /// The in-flight entries as an MSHR checkpoint writes them.
+    pub(super) fn written_inflight(m: &MshrFile) -> Vec<(LineKey, Cycle)> {
+        Deserialize::from_value(&m.inflight.to_value()).expect("sorted [key, done] pairs")
     }
 
     #[test]
@@ -1118,14 +1103,13 @@ mod mshr_model {
         }
         prop_assert_eq!(real.merges(), model.merges);
         prop_assert_eq!(real.primaries(), model.primaries);
-        let snap = real.snapshot();
         let want: Vec<(LineKey, Cycle)> = model
             .inflight
             .iter()
             .map(|(&(a, l), &d)| (LineKey::new(Asid(a), l), Cycle::new(d)))
             .collect();
-        prop_assert_eq!(snap.inflight, want);
-        prop_assert_eq!(snap.latest_done, Cycle::new(model.latest_done));
+        prop_assert_eq!(super::tests::written_inflight(&real), want);
+        prop_assert_eq!(real.latest_done, Cycle::new(model.latest_done));
         Ok(model.caps)
     }
 

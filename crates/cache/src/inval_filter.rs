@@ -9,10 +9,9 @@
 //! L1s are small, clean, and low-hit-rate), a filter miss discards the
 //! request.
 
-use gvc_engine::Counter;
+use gvc_engine::{Counter, SortedMap};
 use gvc_mem::{Asid, Vpn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Filter statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,9 +35,11 @@ pub struct InvalFilterStats {
 /// assert!(f.must_flush(Asid(0), Vpn::new(7)));
 /// assert!(!f.must_flush(Asid(0), Vpn::new(8))); // filtered
 /// ```
-#[derive(Debug, Default)]
+///
+/// The filter is its own checkpoint; counters are `[asid, vpn, count]`.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InvalFilter {
-    counters: HashMap<(Asid, Vpn), u32>,
+    counters: SortedMap<(Asid, Vpn), u32>,
     max_occupancy: usize,
     stats: InvalFilterStats,
 }
@@ -112,45 +113,6 @@ impl InvalFilter {
     pub fn stats(&self) -> InvalFilterStats {
         self.stats
     }
-
-    /// Captures the filter's full state for checkpointing.
-    pub fn snapshot(&self) -> InvalFilterSnapshot {
-        let mut counters: Vec<(Asid, Vpn, u32)> = self
-            .counters
-            .iter()
-            .map(|(&(a, v), &c)| (a, v, c))
-            .collect();
-        counters.sort_by_key(|&(a, v, _)| (a.0, v.raw()));
-        InvalFilterSnapshot {
-            counters,
-            max_occupancy: self.max_occupancy as u64,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`InvalFilter::snapshot`].
-    pub fn restore(&mut self, snap: &InvalFilterSnapshot) {
-        self.counters.clear();
-        for &(a, v, c) in &snap.counters {
-            self.counters.insert((a, v), c);
-        }
-        self.max_occupancy = snap.max_occupancy as usize;
-        self.stats = snap.stats;
-    }
-}
-
-/// Full serializable state of an [`InvalFilter`]
-/// (see [`InvalFilter::snapshot`]). A mirror, because the counter hash
-/// map is stored as `(asid, vpn)`-sorted triples so serialization is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InvalFilterSnapshot {
-    /// Tracked pages and their line counts, sorted by `(asid, vpn)`.
-    pub counters: Vec<(Asid, Vpn, u32)>,
-    /// High-water mark of tracked pages.
-    pub max_occupancy: u64,
-    /// Statistics so far.
-    pub stats: InvalFilterStats,
 }
 
 #[cfg(test)]

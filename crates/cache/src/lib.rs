@@ -28,7 +28,7 @@ pub mod lifetime;
 pub use banked::{BankedCache, BankedCacheSnapshot};
 pub use cache::{
     CacheConfig, CacheLine, CacheSlotSnapshot, CacheSnapshot, CacheStats, LineKey, MshrFile,
-    MshrSnapshot, SetAssocCache, WritePolicy,
+    SetAssocCache, WritePolicy,
 };
-pub use inval_filter::{InvalFilter, InvalFilterSnapshot};
+pub use inval_filter::InvalFilter;
 pub use lifetime::LifetimeTracker;

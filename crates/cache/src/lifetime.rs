@@ -22,7 +22,7 @@ use gvc_engine::time::{Cycle, Frequency};
 /// let curve = t.cdf_at_ns(&[500.0, 1000.0, 3000.0]);
 /// assert_eq!(curve, vec![0.0, 0.5, 1.0]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeTracker {
     clock: Frequency,
     cdf: Cdf,

@@ -22,7 +22,7 @@
 use crate::bitvec::Presence;
 use gvc_engine::{Counter, FxHashMap};
 use gvc_mem::{Asid, Perms, Ppn, Vpn};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize};
 
 /// FBT configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -138,7 +138,7 @@ pub struct Slot {
 /// // Forward translation: leading virtual page -> physical page.
 /// assert_eq!(fbt.translate(Asid(0), Vpn::new(100)), Some((Ppn::new(7), Perms::READ_WRITE)));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fbt {
     config: FbtConfig,
     sets: Vec<Vec<Option<Slot>>>,
@@ -438,42 +438,39 @@ impl Fbt {
         }
     }
 
-    /// Restores state captured by [`Fbt::snapshot`]. The table must
-    /// have been built with the same configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's configuration or geometry does not
-    /// match.
-    pub fn restore(&mut self, snap: &FbtSnapshot) {
-        assert_eq!(self.config, snap.config, "FBT snapshot config mismatch");
-        assert_eq!(
-            snap.sets.len(),
-            self.sets.len(),
-            "FBT snapshot set count mismatch"
-        );
-        self.ft.clear();
-        self.occupancy = 0;
-        for (set_idx, (set, snap_set)) in self.sets.iter_mut().zip(&snap.sets).enumerate() {
-            assert_eq!(snap_set.len(), set.len(), "FBT snapshot way count mismatch");
+    /// Rebuilds an FBT from its mirror, checking the mirror's own
+    /// geometry (one slot list per set, one slot per way) and
+    /// re-deriving the FT index and the occupancy from the BT.
+    pub fn from_snapshot(snap: &FbtSnapshot) -> Result<Self, Error> {
+        // Geometry first: the allocation below is sized by the config.
+        let ways = snap.config.ways;
+        if ways == 0 || snap.sets.len().checked_mul(ways) != Some(snap.config.entries) {
+            return Err(Error::msg("FBT snapshot set count mismatch"));
+        }
+        let mut fbt = Fbt::new(snap.config);
+        for (set_idx, (set, snap_set)) in fbt.sets.iter_mut().zip(&snap.sets).enumerate() {
+            if snap_set.len() != set.len() {
+                return Err(Error::msg("FBT snapshot way count mismatch"));
+            }
             set.copy_from_slice(snap_set);
             for (way, snap_slot) in snap_set.iter().enumerate() {
                 if let Some(s) = snap_slot {
-                    self.ft.insert(
+                    fbt.ft.insert(
                         s.entry.leading,
                         BtIndex {
                             set: set_idx as u32,
                             way: way as u32,
                         },
                     );
-                    self.occupancy += 1;
+                    fbt.occupancy += 1;
                 }
             }
         }
-        self.use_clock = snap.use_clock;
-        self.max_occupancy = snap.max_occupancy as usize;
-        self.usable_ways = snap.usable_ways as usize;
-        self.stats = snap.stats;
+        fbt.use_clock = snap.use_clock;
+        fbt.max_occupancy = snap.max_occupancy as usize;
+        fbt.usable_ways = snap.usable_ways as usize;
+        fbt.stats = snap.stats;
+        Ok(fbt)
     }
 
     /// Verifies internal consistency (tests and debug harnesses):
@@ -502,9 +499,11 @@ impl Fbt {
     }
 }
 
+gvc_engine::checkpoint_via_mirror!(Fbt, FbtSnapshot, "FBT snapshot config mismatch");
+
 /// Full serializable state of an [`Fbt`] (see [`Fbt::snapshot`]).
 /// A mirror, because the FT index and the occupancy count are derived
-/// from the BT and rebuilt on restore.
+/// from the BT and rebuilt from it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FbtSnapshot {
     /// Configuration (validated on restore).
@@ -724,7 +723,7 @@ mod tests {
 
         let snap = fbt.snapshot();
         let mut restored = Fbt::new(snap.config);
-        restored.restore(&snap);
+        restored.restore(&Fbt::from_snapshot(&snap).expect("mirror decodes"));
         assert_eq!(restored.snapshot(), snap, "restore is a fixed point");
         restored.check_consistency();
 
@@ -752,9 +751,8 @@ mod tests {
     #[should_panic(expected = "config mismatch")]
     fn restore_rejects_mismatched_config() {
         let fbt = small();
-        let snap = fbt.snapshot();
         let mut other = Fbt::new(FbtConfig::default());
-        other.restore(&snap);
+        other.restore(&fbt);
     }
 
     #[test]

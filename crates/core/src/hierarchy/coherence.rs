@@ -230,6 +230,7 @@ mod tests {
     use crate::hierarchy::LineAccess;
     use gvc_mem::{Asid, OsLite, Perms, ProcessId, VRange, PAGE_BYTES};
     use gvc_tlb::tlb::TlbKey;
+    use serde::{Deserialize, Serialize};
 
     fn setup(pages: u64) -> (OsLite, ProcessId, VRange) {
         let mut os = OsLite::new(256 << 20);
@@ -451,15 +452,18 @@ mod tests {
                     .iter()
                     .map(|(&(a, v), &d)| (TlbKey::new(Asid(a), Vpn::new(v)), d))
                     .collect();
-                assert_eq!(snap.tlb_inflight[cu], want, "CU {cu} snapshot");
+                let written: Vec<(TlbKey, Cycle)> =
+                    Deserialize::from_value(&snap.tlb_inflight[cu].to_value()).expect("pairs");
+                assert_eq!(written, want, "CU {cu} snapshot");
                 for (&(a, v), &d) in m {
                     let key = TlbKey::new(Asid(a), Vpn::new(v)).packed();
                     assert_eq!(mem.tlb_inflight[cu].get(&key), Some(&d));
                 }
                 assert_eq!(mem.tlb_inflight[cu].len(), m.len());
             }
+            let decoded = MemorySystem::from_value(&snap.to_value()).expect("decodes");
             let mut fresh = MemorySystem::new(SystemConfig::baseline_512());
-            fresh.restore(&snap);
+            fresh.restore(&decoded);
             assert_eq!(fresh.snapshot(), snap, "restore round trip");
         };
         agree(&mem, &model);

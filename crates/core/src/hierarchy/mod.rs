@@ -24,19 +24,16 @@ pub mod l1only;
 pub mod virtual_hier;
 
 use crate::config::{MmuDesign, SystemConfig};
-use crate::fbt::{Fbt, FbtSnapshot};
+use crate::fbt::Fbt;
 use crate::remap::RemapTable;
 use crate::report::{HierCounters, MemReport};
-use gvc_cache::{
-    BankedCache, BankedCacheSnapshot, CacheSnapshot, InvalFilter, InvalFilterSnapshot,
-    LifetimeTracker, LineKey, MshrFile, MshrSnapshot, SetAssocCache,
-};
+use gvc_cache::{BankedCache, InvalFilter, LifetimeTracker, LineKey, MshrFile, SetAssocCache};
 use gvc_engine::time::{Cycle, Duration, Frequency};
-use gvc_engine::{FxHashMap, IntervalSummary, RateAccum, TraceCause, TraceHandle};
+use gvc_engine::{IntervalSummary, RateAccum, SortedMap, TraceCause, TraceHandle};
 use gvc_mem::{Asid, AsidKey, OsLite, Perms, Ppn, VAddr, LINES_PER_PAGE};
 use gvc_soc::{Directory, Dram, Noc};
-use gvc_tlb::iommu::{Iommu, IommuSnapshot};
-use gvc_tlb::tlb::{Tlb, TlbKey, TlbSnapshot, TlbStats};
+use gvc_tlb::iommu::Iommu;
+use gvc_tlb::tlb::{Tlb, TlbKey, TlbStats};
 use serde::{Deserialize, Serialize};
 
 /// The ASID under which physical caches key their lines.
@@ -96,7 +93,7 @@ impl AccessResult {
 }
 
 /// Lifetime trackers for Figure 12.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lifetimes {
     /// Per-CU TLB entry residence times.
     pub tlb: LifetimeTracker,
@@ -142,7 +139,10 @@ impl Lifetimes {
 /// assert!(second.done_at < first.done_at + gvc_engine::Duration::new(10));
 /// # Ok::<(), gvc_mem::MemError>(())
 /// ```
-#[derive(Debug)]
+///
+/// The memory system is its own checkpoint. The NoC (pure configuration),
+/// lifetime trackers and trace sink (observation only) are not written.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemorySystem {
     pub(crate) cfg: SystemConfig,
     pub(crate) l1: Vec<SetAssocCache>,
@@ -151,13 +151,14 @@ pub struct MemorySystem {
     pub(crate) l2_mshr: MshrFile,
     pub(crate) dram: Dram,
     pub(crate) dir: Directory,
+    #[serde(skip)]
     pub(crate) noc: Noc,
     pub(crate) iommu: Iommu,
     /// Per-CU TLBs (baseline and L1-only designs).
     pub(crate) tlbs: Vec<Tlb>,
     /// Per-CU in-flight translation fills (page-grain MSHRs), keyed
     /// by packed [`TlbKey`] so a bucket is 16 bytes.
-    pub(crate) tlb_inflight: Vec<FxHashMap<AsidKey, Cycle>>,
+    pub(crate) tlb_inflight: Vec<SortedMap<AsidKey, Cycle, TlbKey>>,
     /// Per-CU watermark: the latest fill completion ever registered in
     /// `tlb_inflight[cu]`. Once the clock passes it, no entry can
     /// still be in flight and the hash probe is skipped.
@@ -169,6 +170,7 @@ pub struct MemorySystem {
     /// Per-CU dynamic synonym remapping tables (§4.3, optional).
     pub(crate) srt: Vec<RemapTable>,
     pub(crate) counters: HierCounters,
+    #[serde(skip)]
     pub(crate) lifetimes: Option<Lifetimes>,
     /// Accesses processed since the last full paranoid sweep (see
     /// [`crate::check`]).
@@ -178,50 +180,8 @@ pub struct MemorySystem {
     fbt_pressure_left: u32,
     /// Optional trace sink (attached post-construction; never part of
     /// the config, memo keys, or reports).
+    #[serde(skip)]
     pub(crate) trace: Option<TraceHandle>,
-}
-
-/// Full serializable state of a [`MemorySystem`]
-/// (see [`MemorySystem::snapshot`]). A mirror, because the trace sink
-/// and lifetime tracker are observation only and are not checkpointed.
-/// Hash maps are serialized as sorted vectors so the encoding is
-/// deterministic; the NoC is pure configuration and carries no state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemSystemSnapshot {
-    /// Configuration (validated on restore).
-    pub cfg: SystemConfig,
-    /// Per-CU L1 caches.
-    pub l1: Vec<CacheSnapshot>,
-    /// Per-CU L1 MSHR files.
-    pub l1_mshr: Vec<MshrSnapshot>,
-    /// The shared L2.
-    pub l2: BankedCacheSnapshot,
-    /// The L2 MSHR file.
-    pub l2_mshr: MshrSnapshot,
-    /// DRAM channel backlogs and counters.
-    pub dram: Dram,
-    /// Directory counters.
-    pub dir: Directory,
-    /// The IOMMU (shared TLB, PWC, walkers, sampler, injection RNG).
-    pub iommu: IommuSnapshot,
-    /// Per-CU TLBs.
-    pub tlbs: Vec<TlbSnapshot>,
-    /// Per-CU in-flight translation fills, sorted by key.
-    pub tlb_inflight: Vec<Vec<(TlbKey, Cycle)>>,
-    /// Per-CU in-flight watermarks.
-    pub tlb_inflight_until: Vec<Cycle>,
-    /// The forward–backward table.
-    pub fbt: FbtSnapshot,
-    /// Per-CU invalidation filters.
-    pub filters: Vec<InvalFilterSnapshot>,
-    /// Per-CU synonym remap tables.
-    pub srt: Vec<RemapTable>,
-    /// Protocol counters.
-    pub counters: HierCounters,
-    /// Paranoid-sweep cadence position.
-    pub steps_since_sweep: u32,
-    /// Remaining accesses in the active FBT-pressure window.
-    pub fbt_pressure_left: u32,
 }
 
 impl MemorySystem {
@@ -251,7 +211,7 @@ impl MemorySystem {
             noc: Noc::new(cfg.noc),
             iommu,
             tlbs: (0..cfg.n_cus).map(|_| Tlb::new(cfg.per_cu_tlb)).collect(),
-            tlb_inflight: (0..cfg.n_cus).map(|_| FxHashMap::default()).collect(),
+            tlb_inflight: (0..cfg.n_cus).map(|_| SortedMap::default()).collect(),
             tlb_inflight_until: vec![Cycle::ZERO; cfg.n_cus],
             fbt: Fbt::new(cfg.fbt),
             filters: (0..cfg.n_cus).map(|_| InvalFilter::new()).collect(),
@@ -513,12 +473,7 @@ impl MemorySystem {
     pub(crate) fn per_cu_tlb_stats(&self) -> TlbStats {
         let mut agg = TlbStats::default();
         for t in &self.tlbs {
-            let s = t.stats();
-            agg.lookups.add(s.lookups.get());
-            agg.hits.add(s.hits.get());
-            agg.misses.add(s.misses.get());
-            agg.evictions.add(s.evictions.get());
-            agg.invalidations.add(s.invalidations.get());
+            agg.merge(&t.stats());
         }
         agg
     }
@@ -526,18 +481,11 @@ impl MemorySystem {
     /// Aggregated per-CU reach sub-array statistics, when the per-CU
     /// TLBs are page-size aware.
     pub(crate) fn per_cu_tlb_reach_stats(&self) -> Option<TlbStats> {
-        let mut agg = TlbStats::default();
-        let mut any = false;
-        for t in &self.tlbs {
-            let Some(s) = t.reach_stats() else { continue };
-            any = true;
-            agg.lookups.add(s.lookups.get());
-            agg.hits.add(s.hits.get());
-            agg.misses.add(s.misses.get());
-            agg.evictions.add(s.evictions.get());
-            agg.invalidations.add(s.invalidations.get());
+        let mut agg = None;
+        for s in self.tlbs.iter().filter_map(Tlb::reach_stats) {
+            agg.get_or_insert_with(TlbStats::default).merge(&s);
         }
-        any.then_some(agg)
+        agg
     }
 
     /// Finalizes the run at `end`: flushes resident lifetimes (when
@@ -574,14 +522,7 @@ impl MemorySystem {
         }
         let mut l1 = gvc_cache::CacheStats::default();
         for c in &self.l1 {
-            let s = c.stats();
-            l1.lookups.add(s.lookups.get());
-            l1.hits.add(s.hits.get());
-            l1.misses.add(s.misses.get());
-            l1.fills.add(s.fills.get());
-            l1.evictions.add(s.evictions.get());
-            l1.writebacks.add(s.writebacks.get());
-            l1.invalidations.add(s.invalidations.get());
+            l1.merge(&c.stats());
         }
         let is_virtual = matches!(self.cfg.design, MmuDesign::VirtualHierarchy { .. });
         MemReport {
@@ -633,63 +574,35 @@ impl MemorySystem {
         self.iommu.resident_rate_intervals()
     }
 
-    /// Captures the full simulation state of the memory system for
-    /// checkpointing: every cache, TLB, MSHR file, port backlog, the
-    /// FBT, invalidation filters, remap tables, the IOMMU (including
-    /// its mid-sequence injection RNG), and all counters. The optional
-    /// trace sink is *not* captured (it is observational only), and
-    /// lifetime tracking is incompatible with checkpointing — soak
-    /// runs never enable it.
+    /// This memory system as a checkpoint: a copy without the trace
+    /// sink.
     ///
     /// # Panics
     ///
     /// Panics if lifetime tracking is enabled — `LifetimeTracker`
     /// holds unbounded sample vectors, which a bounded-memory
     /// checkpoint must not carry.
-    pub fn snapshot(&self) -> MemSystemSnapshot {
+    pub fn snapshot(&self) -> MemorySystem {
         assert!(
             self.lifetimes.is_none(),
             "cannot snapshot a memory system with lifetime tracking enabled"
         );
-        MemSystemSnapshot {
-            cfg: self.cfg,
-            l1: self.l1.iter().map(SetAssocCache::snapshot).collect(),
-            l1_mshr: self.l1_mshr.iter().map(MshrFile::snapshot).collect(),
-            l2: self.l2.snapshot(),
-            l2_mshr: self.l2_mshr.snapshot(),
-            dram: self.dram.clone(),
-            dir: self.dir.clone(),
+        MemorySystem {
             iommu: self.iommu.snapshot(),
-            tlbs: self.tlbs.iter().map(Tlb::snapshot).collect(),
-            tlb_inflight: self
-                .tlb_inflight
-                .iter()
-                .map(|m| {
-                    let mut v: Vec<(TlbKey, Cycle)> =
-                        m.iter().map(|(&k, &d)| (k.into(), d)).collect();
-                    v.sort_by_key(|&(k, _)| (k.asid.0, k.vpn.raw()));
-                    v
-                })
-                .collect(),
-            tlb_inflight_until: self.tlb_inflight_until.clone(),
-            fbt: self.fbt.snapshot(),
-            filters: self.filters.iter().map(InvalFilter::snapshot).collect(),
-            srt: self.srt.clone(),
-            counters: self.counters,
-            steps_since_sweep: self.steps_since_sweep,
-            fbt_pressure_left: self.fbt_pressure_left,
+            trace: None,
+            ..self.clone()
         }
     }
 
-    /// Restores state captured by [`MemorySystem::snapshot`]. The
-    /// system must have been built from the same [`SystemConfig`];
-    /// build fresh with [`MemorySystem::new`] and then restore.
+    /// Restores `snap`. The system must have been built from the same
+    /// [`SystemConfig`]; build fresh with [`MemorySystem::new`] and
+    /// then restore. The trace sink and lifetime trackers stay.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's configuration, any per-CU list's
     /// length, or any component geometry does not match.
-    pub fn restore(&mut self, snap: &MemSystemSnapshot) {
+    pub fn restore(&mut self, snap: &MemorySystem) {
         assert_eq!(self.cfg, snap.cfg, "memory system snapshot config mismatch");
         let cus = self.l1.len();
         for (part, len) in [
@@ -706,30 +619,19 @@ impl MemorySystem {
         for (c, s) in self.l1.iter_mut().zip(&snap.l1) {
             c.restore(s);
         }
-        for (m, s) in self.l1_mshr.iter_mut().zip(&snap.l1_mshr) {
-            m.restore(s);
-        }
+        self.l1_mshr.clone_from(&snap.l1_mshr);
         self.l2.restore(&snap.l2);
-        self.l2_mshr.restore(&snap.l2_mshr);
+        self.l2_mshr.clone_from(&snap.l2_mshr);
         self.dram.restore(&snap.dram);
         self.dir.restore(&snap.dir);
         self.iommu.restore(&snap.iommu);
         for (t, s) in self.tlbs.iter_mut().zip(&snap.tlbs) {
             t.restore(s);
         }
-        for (m, s) in self.tlb_inflight.iter_mut().zip(&snap.tlb_inflight) {
-            m.clear();
-            m.extend(s.iter().map(|&(k, d)| {
-                let k = AsidKey::checked(k.asid, k.vpn.raw())
-                    .expect("in-flight TLB fill snapshot VPN exceeds 48 bits");
-                (k, d)
-            }));
-        }
+        self.tlb_inflight.clone_from(&snap.tlb_inflight);
         self.tlb_inflight_until.clone_from(&snap.tlb_inflight_until);
         self.fbt.restore(&snap.fbt);
-        for (f, s) in self.filters.iter_mut().zip(&snap.filters) {
-            f.restore(s);
-        }
+        self.filters.clone_from(&snap.filters);
         for (r, s) in self.srt.iter_mut().zip(&snap.srt) {
             r.restore(s);
         }

@@ -81,9 +81,7 @@ pub use config::{Latencies, MmuDesign, SynonymPolicy, SystemConfig};
 pub use energy::{EnergyEstimate, EnergyModel};
 pub use fbt::{BtEntry, BtIndex, Fbt, FbtConfig, FbtSnapshot, LeadingVa};
 pub use hierarchy::coherence::ProbeResponse;
-pub use hierarchy::{
-    AccessFault, AccessResult, Lifetimes, LineAccess, MemSystemSnapshot, MemorySystem,
-};
+pub use hierarchy::{AccessFault, AccessResult, Lifetimes, LineAccess, MemorySystem};
 pub use inject::{InjectConfig, InjectEvent, InjectPlan, InjectReport};
 pub use remap::{RemapConfig, RemapTable};
 pub use report::{HierCounters, MemReport};

@@ -20,6 +20,8 @@
 //! * [`rng`] — a seeded, deterministic random-number wrapper.
 //! * [`fxhash`] — a deterministic multiply-xor hasher ([`FxHashMap`])
 //!   for simulator-internal maps keyed by trusted values.
+//! * [`checkpoint`] — what lets live types be their own checkpoint:
+//!   the key-ordered [`SortedMap`] and [`checkpoint_via_mirror!`].
 //! * [`trace`] — cycle-attributed structured tracing ([`TraceSink`],
 //!   [`TraceHandle`]): bounded span ring plus per-cause interval metrics,
 //!   zero-cost when no sink is attached.
@@ -49,6 +51,7 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 
+pub mod checkpoint;
 pub mod event;
 pub mod fxhash;
 pub mod port;
@@ -57,6 +60,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use checkpoint::{EntryKey, SortedMap};
 pub use event::EventQueue;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use port::{ThroughputPort, TokenPort};

@@ -681,7 +681,7 @@ impl RateAccum {
 /// assert_eq!(c.fraction_at_or_below(25.0), 0.5);
 /// assert_eq!(c.quantile(0.5), 20.0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Cdf {
     samples: Vec<f64>,
     sorted: bool,

@@ -472,6 +472,13 @@ pub struct TraceHandle {
     sink: Rc<RefCell<TraceSink>>,
 }
 
+/// Two handles are equal when they share one sink.
+impl PartialEq for TraceHandle {
+    fn eq(&self, other: &Self) -> bool {
+        Rc::ptr_eq(&self.sink, &other.sink)
+    }
+}
+
 impl TraceHandle {
     /// Creates a handle over a fresh sink bounded to `capacity` events.
     pub fn new(capacity: usize) -> Self {

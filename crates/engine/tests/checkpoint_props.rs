@@ -11,8 +11,13 @@
 //!    chopped into epoch-sized pieces, each flushed through a
 //!    serialized checkpoint and merged back, is indistinguishable from
 //!    one accumulator that never stopped.
+//! 4. **A sorted map is written by its contents alone** — its JSON
+//!    does not depend on insertion order, it round-trips through text,
+//!    and a repeated key is a decode error.
+//! 5. **Observation-only fields stay out** — a `#[serde(skip)]` field
+//!    is not written and decodes as its `Default`.
 
-use gvc_engine::{Cycle, Duration, Histogram, IntervalSampler, RateAccum, SimRng};
+use gvc_engine::{Cycle, Duration, Histogram, IntervalSampler, RateAccum, SimRng, SortedMap};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -145,6 +150,82 @@ proptest! {
         // one epoch of intervals (+1 for the partial tail interval).
         let bound = (epoch_cycles / interval.raw() + 2) as usize;
         prop_assert!(ref_sampler.counts().len() <= bound.max(1));
+    }
+}
+
+/// A struct with an observation-only field.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Observed {
+    kept: u64,
+    #[serde(skip)]
+    seen: Vec<u64>,
+    last: bool,
+}
+
+#[test]
+fn skipped_field_is_not_written_and_decodes_as_default() {
+    let x = Observed {
+        kept: 7,
+        seen: vec![1, 2],
+        last: true,
+    };
+    let text = serde_json::to_string(&x).expect("serialize");
+    assert_eq!(text, r#"{"kept":7,"last":true}"#);
+    let back: Observed = serde_json::from_str(&text).expect("decode");
+    assert_eq!(
+        back,
+        Observed {
+            seen: Vec::new(),
+            ..x
+        }
+    );
+}
+
+/// A sorted map keyed like an invalidation filter's counters, filled
+/// from `entries` in the order given.
+fn sorted_map(entries: &[((u16, u64), u32)]) -> SortedMap<(u16, u64), u32> {
+    let mut m = SortedMap::default();
+    for &(k, v) in entries {
+        m.insert(k, v);
+    }
+    m
+}
+
+proptest! {
+    #[test]
+    fn sorted_map_json_ignores_insertion_order(
+        raw in prop::collection::vec(((0u16..4, 0u64..64), any::<u32>()), 0..48),
+        rotate in 0usize..48,
+    ) {
+        // One value per key, so every insertion order builds one map.
+        let mut seen = std::collections::HashSet::new();
+        let mut entries: Vec<_> = raw.into_iter().filter(|(k, _)| seen.insert(*k)).collect();
+        let forward = sorted_map(&entries);
+        entries.reverse();
+        let reversed = sorted_map(&entries);
+        let mid = rotate.min(entries.len());
+        entries.rotate_left(mid);
+        let rotated = sorted_map(&entries);
+        let text = serde_json::to_string(&forward).expect("serialize");
+        prop_assert_eq!(&serde_json::to_string(&reversed).expect("serialize"), &text);
+        prop_assert_eq!(&serde_json::to_string(&rotated).expect("serialize"), &text);
+        let back: SortedMap<(u16, u64), u32> = serde_json::from_str(&text).expect("decode");
+        prop_assert_eq!(back, forward);
+    }
+
+    #[test]
+    fn sorted_map_rejects_a_repeated_key(
+        raw in prop::collection::vec(((0u16..4, 0u64..64), any::<u32>()), 1..48),
+        pick in any::<usize>(),
+    ) {
+        let mut value = sorted_map(&raw).to_value();
+        let serde::Value::Seq(entries) = &mut value else {
+            panic!("a sorted map is written as a list");
+        };
+        let repeat = entries[pick % entries.len()].clone();
+        entries.push(repeat);
+        let err = SortedMap::<(u16, u64), u32>::from_value(&value).expect_err("repeated key");
+        prop_assert!(err.to_string().contains("repeats an earlier key"), "{}", err);
     }
 }
 

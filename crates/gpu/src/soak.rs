@@ -38,10 +38,10 @@ use crate::service::{
     check_tenant_sums, fairness, Core, Outstanding, ServiceConfig, Tenant, TenantStats,
 };
 use gvc::{InjectPlan, InjectReport};
-use gvc::{MemSystemSnapshot, SystemConfig};
+use gvc::{MemorySystem, SystemConfig};
 use gvc_engine::time::Cycle;
 use gvc_engine::{Cdf, Histogram, IntervalSummary, RateAccum, SimRng};
-use gvc_mem::{OsSnapshot, ProcessId, VRange};
+use gvc_mem::{OsLite, ProcessId, VRange};
 use serde::{Deserialize, Serialize};
 
 /// Version tag of the [`SoakCheckpoint`] schema; bump on any layout
@@ -277,9 +277,9 @@ pub struct SoakCheckpoint {
     /// Total accesses so far.
     pub total_accesses: u64,
     /// The full memory-system state.
-    pub mem: MemSystemSnapshot,
+    pub mem: MemorySystem,
     /// The full OS state (page tables, physical memory, ASIDs).
-    pub os: OsSnapshot,
+    pub os: OsLite,
     /// The injection plan, mid-stream, when armed.
     pub plan: Option<InjectPlan>,
     /// Per-tenant state.
@@ -480,7 +480,7 @@ impl SoakSim {
             aggregate_stall: core.aggregate_stall,
             total_accesses: core.total_accesses,
             mem: core.mem.snapshot(),
-            os: core.os.snapshot(),
+            os: core.os.clone(),
             plan: core.plan.clone(),
             tenants: core
                 .tenants

@@ -51,10 +51,10 @@ pub mod space;
 pub use addr::{
     Asid, AsidKey, PAddr, Ppn, VAddr, VRange, Vpn, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES,
 };
-pub use os::{OsLite, OsSnapshot, ProcessId, Shootdown};
+pub use os::{OsLite, ProcessId, Shootdown};
 pub use page_table::{PageTable, WalkOutcome, WalkPath, PAGES_PER_LARGE, PT_LEVELS};
 pub use perms::Perms;
-pub use phys::{PhysMem, PhysMemSnapshot};
+pub use phys::PhysMem;
 pub use space::AddressSpace;
 
 use std::fmt;

@@ -11,11 +11,11 @@
 use crate::addr::{Asid, PAddr, Ppn, VAddr, VRange, Vpn, PAGE_BYTES};
 use crate::page_table::{PageTable, WalkOutcome, WalkPath, PAGES_PER_LARGE};
 use crate::perms::Perms;
-use crate::phys::{PhysMem, PhysMemSnapshot};
+use crate::phys::PhysMem;
 use crate::space::AddressSpace;
 use crate::MemError;
+use gvc_engine::SortedMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Maximum live processes (= usable ASIDs). The top ASID
 /// (`Asid(u16::MAX)`) is reserved: the hardware model keys physically
@@ -79,7 +79,10 @@ impl Shootdown {
 /// The OS-lite kernel: owns physical memory and all address spaces.
 ///
 /// See the [crate-level example](crate) for typical use.
-#[derive(Debug)]
+///
+/// The kernel is its own checkpoint; the free-ASID list keeps its LIFO
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OsLite {
     phys: PhysMem,
     /// Address-space slots indexed by ASID; `None` marks an evicted
@@ -92,9 +95,9 @@ pub struct OsLite {
     free_asids: Vec<u16>,
     /// How many virtual pages (across all spaces) map each frame —
     /// used to free frames only when the last alias goes away.
-    frame_refs: HashMap<Ppn, u32>,
+    frame_refs: SortedMap<Ppn, u32>,
     /// Live 2 MB mappings: start VPN of each large region.
-    large_regions: HashMap<(u16, u64), Ppn>,
+    large_regions: SortedMap<(u16, u64), Ppn>,
     /// Transparent-huge-page placement policy: when set, `mmap`
     /// requests of 2 MB or more get a 2 MB-aligned virtual start, so
     /// the region's interior blocks are eligible for
@@ -110,8 +113,8 @@ impl OsLite {
             phys: PhysMem::new(phys_bytes),
             spaces: Vec::new(),
             free_asids: Vec::new(),
-            frame_refs: HashMap::new(),
-            large_regions: HashMap::new(),
+            frame_refs: SortedMap::default(),
+            large_regions: SortedMap::default(),
             huge_aligned: false,
         }
     }
@@ -191,7 +194,7 @@ impl OsLite {
         let asid = space.asid();
         // Large mappings first: their subpages are not refcounted.
         // Sort for a deterministic free order (the allocator free list
-        // is order-sensitive and HashMap iteration is not).
+        // is order-sensitive and hash-map iteration is not).
         let mut large: Vec<u64> = self
             .large_regions
             .keys()
@@ -755,70 +758,20 @@ impl OsLite {
         })
     }
 
-    /// Captures the kernel's full state — physical memory, every
-    /// address space, ASID recycling, and alias refcounts — for
-    /// checkpointing.
-    pub fn snapshot(&self) -> OsSnapshot {
-        let mut frame_refs: Vec<(Ppn, u32)> =
-            self.frame_refs.iter().map(|(&p, &c)| (p, c)).collect();
-        frame_refs.sort_by_key(|&(p, _)| p.raw());
-        let mut large_regions: Vec<(u16, u64, Ppn)> = self
-            .large_regions
-            .iter()
-            .map(|(&(pid, vpn), &base)| (pid, vpn, base))
-            .collect();
-        large_regions.sort_unstable_by_key(|&(pid, vpn, _)| (pid, vpn));
-        OsSnapshot {
-            phys: self.phys.snapshot(),
-            spaces: self.spaces.clone(),
-            free_asids: self.free_asids.clone(),
-            frame_refs,
-            large_regions,
-            huge_aligned: self.huge_aligned,
-        }
-    }
-
-    /// Restores state captured by [`OsLite::snapshot`]. The free-ASID
-    /// list is restored in stack order — recycling is LIFO, so order
-    /// is part of the observable state.
+    /// Restores `snap`, which must describe a machine with the same
+    /// physical memory size.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's physical memory size does not match.
-    pub fn restore(&mut self, snap: &OsSnapshot) {
-        self.phys.restore(&snap.phys);
-        self.spaces.clone_from(&snap.spaces);
-        self.free_asids.clone_from(&snap.free_asids);
-        self.frame_refs.clear();
-        for &(p, c) in &snap.frame_refs {
-            self.frame_refs.insert(p, c);
-        }
-        self.large_regions.clear();
-        for &(pid, vpn, base) in &snap.large_regions {
-            self.large_regions.insert((pid, vpn), base);
-        }
-        self.huge_aligned = snap.huge_aligned;
+    pub fn restore(&mut self, snap: &OsLite) {
+        assert_eq!(
+            self.phys.total_frames(),
+            snap.phys.total_frames(),
+            "physical memory snapshot size mismatch"
+        );
+        self.clone_from(snap);
     }
-}
-
-/// Full serializable state of an [`OsLite`] kernel
-/// (see [`OsLite::snapshot`]). A mirror, because the hash maps are
-/// stored as sorted vectors so serialization is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OsSnapshot {
-    /// Physical memory (allocator + page-table frame contents).
-    pub phys: PhysMemSnapshot,
-    /// Address-space slots indexed by ASID; `None` marks a destroyed
-    /// process whose ASID is on the free list.
-    pub spaces: Vec<Option<AddressSpace>>,
-    /// Recycled ASIDs, in stack order.
-    pub free_asids: Vec<u16>,
-    /// Frame refcounts as `(frame, refs)` sorted by frame.
-    pub frame_refs: Vec<(Ppn, u32)>,
-    /// Live 2 MB mappings as `(pid, start vpn, base frame)` sorted.
-    pub large_regions: Vec<(u16, u64, Ppn)>,
-    /// Whether the huge-page placement policy was on.
-    pub huge_aligned: bool,
 }
 
 #[cfg(test)]
@@ -1287,10 +1240,11 @@ mod tests {
         os.mmap(dead, 2 * PAGE_BYTES, Perms::READ_WRITE).unwrap();
         os.destroy_process(dead).unwrap();
 
-        let snap = os.snapshot();
+        let snap = OsLite::from_value(&os.to_value()).expect("checkpoint decodes");
+        assert_eq!(snap, os, "decode is lossless");
         let mut restored = OsLite::new(64 << 20);
         restored.restore(&snap);
-        assert_eq!(restored.snapshot(), snap, "restore is a fixed point");
+        assert_eq!(restored, snap, "restore is a fixed point");
 
         // Run the same operations on both kernels in lockstep: ASID
         // recycling, frame allocation order, refcounted frees, and
@@ -1321,16 +1275,15 @@ mod tests {
             os.phys().table_frame_count(),
             restored.phys().table_frame_count()
         );
-        assert_eq!(os.snapshot(), restored.snapshot(), "still identical");
+        assert_eq!(os, restored, "still identical");
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn restore_rejects_mismatched_phys_size() {
         let os = OsLite::new(8 << 20);
-        let snap = os.snapshot();
         let mut other = OsLite::new(16 << 20);
-        other.restore(&snap);
+        other.restore(&os);
     }
 
     #[test]

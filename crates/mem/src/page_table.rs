@@ -111,7 +111,7 @@ pub enum WalkOutcome {
 ///
 /// A checkpoint holds the table as is: the root pointer and the
 /// mapped-page count. The radix nodes live in [`PhysMem`] frames, which
-/// [`PhysMem::snapshot`] captures, so restore physical memory before
+/// the [`PhysMem`] checkpoint carries, so restore physical memory before
 /// walking a restored table. Field order is the checkpoint's key order,
 /// pinned by `tests/tests/golden.rs`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -9,11 +9,38 @@
 
 use crate::addr::{PAddr, Ppn, PAGE_BYTES};
 use crate::MemError;
-use gvc_engine::FxHashMap;
-use serde::{Deserialize, Serialize};
+use gvc_engine::{EntryKey, SortedMap};
+use serde::{Deserialize, Error, Serialize, Sink, Value};
 
 /// Number of 8-byte entries in one page-table frame.
 pub const ENTRIES_PER_FRAME: usize = (PAGE_BYTES / 8) as usize;
+
+impl EntryKey for Ppn {}
+
+/// The storage of one page-table frame, written as `[index, entry]`
+/// pairs for its non-zero entries only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Frame(Box<[u64; ENTRIES_PER_FRAME]>);
+
+impl Serialize for Frame {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let entries = self.0.iter().enumerate().filter(|&(_, &e)| e != 0);
+        let pairs: Vec<(u32, u64)> = entries.map(|(i, &e)| (i as u32, e)).collect();
+        pairs.serialize(sink);
+    }
+}
+
+impl Deserialize for Frame {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let mut frame = Box::new([0u64; ENTRIES_PER_FRAME]);
+        for (i, e) in Vec::<(u32, u64)>::from_value(v)? {
+            *frame
+                .get_mut(i as usize)
+                .ok_or_else(|| Error::msg(format!("page-table frame has no entry {i}")))? = e;
+        }
+        Ok(Frame(frame))
+    }
+}
 
 /// Simulated physical memory: a bump-plus-free-list frame allocator and
 /// backing storage for page-table frames.
@@ -29,13 +56,16 @@ pub const ENTRIES_PER_FRAME: usize = (PAGE_BYTES / 8) as usize;
 /// assert_eq!(f, g);
 /// # Ok::<(), gvc_mem::MemError>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// The allocator is its own checkpoint: the free list in LIFO order,
+/// and every table frame, even one whose entries all went back to zero.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhysMem {
     total_frames: u64,
     next_fresh: u64,
     free_list: Vec<Ppn>,
     /// Backing storage, only for frames used as page-table nodes.
-    tables: FxHashMap<Ppn, Box<[u64; ENTRIES_PER_FRAME]>>,
+    tables: SortedMap<Ppn, Frame>,
     allocated: u64,
 }
 
@@ -56,7 +86,7 @@ impl PhysMem {
             total_frames,
             next_fresh: 0,
             free_list: Vec::new(),
-            tables: FxHashMap::default(),
+            tables: SortedMap::default(),
             allocated: 0,
         }
     }
@@ -131,7 +161,7 @@ impl PhysMem {
     pub fn read_u64(&self, pa: PAddr) -> u64 {
         debug_assert_eq!(pa.raw() % 8, 0, "unaligned page-table read");
         let idx = (pa.page_offset() / 8) as usize;
-        self.tables.get(&pa.ppn()).map_or(0, |t| t[idx])
+        self.tables.get(&pa.ppn()).map_or(0, |t| t.0[idx])
     }
 
     /// Writes the 8-byte entry at `pa`, materializing the frame's
@@ -146,87 +176,14 @@ impl PhysMem {
         let frame = self
             .tables
             .entry(pa.ppn())
-            .or_insert_with(|| Box::new([0u64; ENTRIES_PER_FRAME]));
-        frame[idx] = value;
+            .or_insert_with(|| Frame(Box::new([0u64; ENTRIES_PER_FRAME])));
+        frame.0[idx] = value;
     }
 
     /// Number of frames holding materialized page-table storage.
     pub fn table_frame_count(&self) -> usize {
         self.tables.len()
     }
-
-    /// Captures the allocator and all page-table frame contents for
-    /// checkpointing. Frame storage is stored sparsely (non-zero
-    /// entries only) but frame *existence* is preserved exactly, so
-    /// [`PhysMem::table_frame_count`] round-trips even through frames
-    /// whose every entry was overwritten back to zero.
-    pub fn snapshot(&self) -> PhysMemSnapshot {
-        let mut tables: Vec<(Ppn, Vec<(u32, u64)>)> = self
-            .tables
-            .iter()
-            .map(|(&ppn, frame)| {
-                let entries = frame
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, &v)| (i as u32, v))
-                    .collect();
-                (ppn, entries)
-            })
-            .collect();
-        tables.sort_by_key(|&(ppn, _)| ppn.raw());
-        PhysMemSnapshot {
-            total_frames: self.total_frames,
-            next_fresh: self.next_fresh,
-            free_list: self.free_list.clone(),
-            tables,
-            allocated: self.allocated,
-        }
-    }
-
-    /// Restores state captured by [`PhysMem::snapshot`]. The free list
-    /// is restored in order (the allocator recycles LIFO, so ordering
-    /// is part of the observable state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's machine size does not match.
-    pub fn restore(&mut self, snap: &PhysMemSnapshot) {
-        assert_eq!(
-            self.total_frames, snap.total_frames,
-            "physical memory snapshot size mismatch"
-        );
-        self.next_fresh = snap.next_fresh;
-        self.free_list.clone_from(&snap.free_list);
-        self.tables.clear();
-        for (ppn, entries) in &snap.tables {
-            let mut frame = Box::new([0u64; ENTRIES_PER_FRAME]);
-            for &(i, v) in entries {
-                frame[i as usize] = v;
-            }
-            self.tables.insert(*ppn, frame);
-        }
-        self.allocated = snap.allocated;
-    }
-}
-
-/// Full serializable state of a [`PhysMem`] (see
-/// [`PhysMem::snapshot`]). A mirror, because the page-table frame
-/// hash map is stored as `(frame, non-zero entries)` pairs sorted by
-/// frame number so the serialized form is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhysMemSnapshot {
-    /// Machine size in frames (validated on restore).
-    pub total_frames: u64,
-    /// Bump-allocator cursor.
-    pub next_fresh: u64,
-    /// Free list, in stack order (recycling is LIFO).
-    pub free_list: Vec<Ppn>,
-    /// Materialized page-table frames: `(frame, [(index, entry)])`
-    /// with only non-zero entries listed, sorted by frame number.
-    pub tables: Vec<(Ppn, Vec<(u32, u64)>)>,
-    /// Frames currently allocated.
-    pub allocated: u64,
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ impl Default for NocConfig {
 /// assert_eq!(noc.cu_to_l2().raw(), 10);
 /// assert_eq!(noc.cu_to_iommu_round_trip().raw(), 100);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Noc {
     config: NocConfig,
 }

@@ -188,16 +188,17 @@ pub struct WalkInjectConfig {
     pub spike_cycles: u64,
 }
 
-#[derive(Debug)]
-struct WalkInject {
-    cfg: WalkInjectConfig,
-    rng: SimRng,
-}
+/// Armed walker injection: the config and its generator mid-stream.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct WalkInject(WalkInjectConfig, SimRng);
 
 const PPM: u64 = 1_000_000;
 
 /// The shared IOMMU translation front end (see [module docs](self)).
-#[derive(Debug)]
+///
+/// The IOMMU is its own checkpoint, injection generator mid-stream
+/// included; the trace handle is observation only and is not written.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Iommu {
     config: IommuConfig,
     tlb: Tlb,
@@ -207,6 +208,7 @@ pub struct Iommu {
     sampler: IntervalSampler,
     stats: IommuStats,
     inject: Option<WalkInject>,
+    #[serde(skip)]
     trace: Option<TraceHandle>,
 }
 
@@ -254,10 +256,7 @@ impl Iommu {
     /// first, then fault), so the injected schedule is a pure function
     /// of the seed and the walk stream — byte-identical on replay.
     pub fn set_inject(&mut self, cfg: WalkInjectConfig) {
-        self.inject = Some(WalkInject {
-            cfg,
-            rng: SimRng::seeded(cfg.seed),
-        });
+        self.inject = Some(WalkInject(cfg, SimRng::seeded(cfg.seed)));
     }
 
     /// The configuration.
@@ -404,12 +403,12 @@ impl Iommu {
         // Walker-level injection: a fixed two-draw sequence per walk
         // (spike, then fault) keeps the schedule replayable.
         let mut spurious_fault = false;
-        if let Some(inj) = &mut self.inject {
-            if inj.rng.below(PPM) < inj.cfg.spike_ppm as u64 {
-                latency += inj.cfg.spike_cycles;
+        if let Some(WalkInject(cfg, rng)) = &mut self.inject {
+            if rng.below(PPM) < cfg.spike_ppm as u64 {
+                latency += cfg.spike_cycles;
                 self.stats.injected_spikes.inc();
             }
-            spurious_fault = inj.rng.below(PPM) < inj.cfg.fault_ppm as u64;
+            spurious_fault = rng.below(PPM) < cfg.fault_ppm as u64;
         }
         let end = start + Duration::new(latency);
         self.walkers.release(walker, end);
@@ -482,66 +481,36 @@ impl Iommu {
         &self.tlb
     }
 
-    /// Captures the IOMMU's full behavioral state for checkpointing:
-    /// shared TLB, port backlog, walker occupancy, PWC, access-rate
-    /// sampler window, counters, and the injection generator mid-stream.
-    /// The trace handle is observational and not captured.
-    pub fn snapshot(&self) -> IommuSnapshot {
-        IommuSnapshot {
-            config: self.config,
-            tlb: self.tlb.snapshot(),
-            port: self.port.clone(),
+    /// This IOMMU as a checkpoint: a copy without the trace handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a walker is acquired (see [`WalkerPool::snapshot`]).
+    pub fn snapshot(&self) -> Iommu {
+        Iommu {
             walkers: self.walkers.snapshot(),
-            pwc: self.pwc.clone(),
-            sampler: self.sampler.clone(),
-            stats: self.stats,
-            inject: self.inject.as_ref().map(|i| (i.cfg, i.rng.clone())),
+            trace: None,
+            ..self.clone()
         }
     }
 
-    /// Restores state captured by [`Iommu::snapshot`]. The IOMMU must
-    /// have been built with the same configuration; afterwards it
-    /// behaves bit-identically to the snapshotted one.
+    /// Restores `snap`. The IOMMU must have been built with the same
+    /// configuration; afterwards it behaves bit-identically to the
+    /// snapshotted one. The trace handle stays attached.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's configuration does not match.
-    pub fn restore(&mut self, snap: &IommuSnapshot) {
+    pub fn restore(&mut self, snap: &Iommu) {
         assert_eq!(self.config, snap.config, "IOMMU snapshot config mismatch");
         self.tlb.restore(&snap.tlb);
-        self.port = snap.port.clone();
+        self.port.clone_from(&snap.port);
         self.walkers.restore(&snap.walkers);
         self.pwc.restore(&snap.pwc);
-        self.sampler = snap.sampler.clone();
+        self.sampler.clone_from(&snap.sampler);
         self.stats = snap.stats;
-        self.inject = snap.inject.as_ref().map(|(cfg, rng)| WalkInject {
-            cfg: *cfg,
-            rng: rng.clone(),
-        });
+        self.inject.clone_from(&snap.inject);
     }
-}
-
-/// Full serializable state of an [`Iommu`] (see [`Iommu::snapshot`]).
-/// A mirror, because the IOMMU's trace handle is observation only and
-/// is not checkpointed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IommuSnapshot {
-    /// Configuration (validated on restore).
-    pub config: IommuConfig,
-    /// Shared TLB state.
-    pub tlb: crate::tlb::TlbSnapshot,
-    /// Port backlog state.
-    pub port: ThroughputPort,
-    /// Walker-pool occupancy and stats.
-    pub walkers: WalkerPool,
-    /// Page-walk cache state.
-    pub pwc: Pwc,
-    /// Resident access-rate sampler window.
-    pub sampler: IntervalSampler,
-    /// Counters so far.
-    pub stats: IommuStats,
-    /// Injection config and mid-stream generator state, if armed.
-    pub inject: Option<(WalkInjectConfig, SimRng)>,
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub mod pwc;
 pub mod tlb;
 pub mod walker;
 
-pub use iommu::{Iommu, IommuConfig, IommuOutcome, IommuResponse, IommuSnapshot};
+pub use iommu::{Iommu, IommuConfig, IommuOutcome, IommuResponse};
 pub use pwc::{Pwc, PwcConfig};
 pub use tlb::{Evicted, Tlb, TlbConfig, TlbEntry, TlbKey, TlbOrganization, TlbSnapshot};
 pub use walker::WalkerPool;

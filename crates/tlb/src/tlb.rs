@@ -6,12 +6,12 @@
 //! page in different address spaces) never collide.
 
 use gvc_engine::time::Cycle;
-use gvc_engine::{Counter, FxHashMap};
+use gvc_engine::{Counter, EntryKey, SortedMap};
 use gvc_mem::{Asid, AsidKey, Perms, Ppn, Vpn};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize};
 
 /// The lookup key: address space + virtual page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TlbKey {
     /// Address-space identifier.
     pub asid: Asid,
@@ -43,6 +43,18 @@ impl From<AsidKey> for TlbKey {
         TlbKey::new(k.asid(), Vpn::new(k.index()))
     }
 }
+
+/// The checked pack of an in-flight translation fill's checkpoint key.
+impl TryFrom<TlbKey> for AsidKey {
+    type Error = &'static str;
+
+    fn try_from(k: TlbKey) -> Result<Self, Self::Error> {
+        AsidKey::checked(k.asid, k.vpn.raw())
+            .ok_or("in-flight TLB fill snapshot VPN exceeds 48 bits")
+    }
+}
+
+impl EntryKey for TlbKey {}
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,6 +105,20 @@ pub enum TlbOrganization {
     },
     /// Unbounded (IDEAL MMU / demand-miss measurement).
     Infinite,
+}
+
+impl TlbOrganization {
+    /// The bounded arrays' `(sets, ways)`; `None` when a bounded
+    /// organization has no entries or its ways do not divide them.
+    fn geometry(self) -> Option<(usize, usize)> {
+        match self {
+            TlbOrganization::FullyAssociative { entries } => (entries > 0).then_some((1, entries)),
+            TlbOrganization::SetAssociative { entries, ways } => {
+                (ways > 0 && entries % ways == 0).then(|| (entries / ways, ways))
+            }
+            TlbOrganization::Infinite => Some((0, 0)),
+        }
+    }
 }
 
 /// A page-size-aware *reach* sub-array: a second, separately tagged
@@ -181,6 +207,16 @@ impl TlbStats {
     pub fn miss_ratio(&self) -> f64 {
         self.misses.ratio_of(self.lookups.get())
     }
+
+    /// Folds another TLB's statistics into these, counter by counter
+    /// (see [`Counter::merge`]).
+    pub fn merge(&mut self, other: &TlbStats) {
+        self.lookups.merge(&other.lookups);
+        self.hits.merge(&other.hits);
+        self.misses.merge(&other.misses);
+        self.evictions.merge(&other.evictions);
+        self.invalidations.merge(&other.invalidations);
+    }
 }
 
 /// A TLB (see [module docs](self)).
@@ -199,7 +235,7 @@ impl TlbStats {
 /// let ev = tlb.insert(k(3), Ppn::new(30), Perms::READ_WRITE, Cycle::new(3));
 /// assert_eq!(ev.unwrap().key, k(2));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
     /// Set count (1 when fully associative, 0 when infinite).
@@ -219,7 +255,7 @@ pub struct Tlb {
     last_use: Vec<u64>,
     occupancy: Vec<u32>,
     /// Infinite organization storage.
-    unbounded: FxHashMap<TlbKey, TlbEntry>,
+    unbounded: SortedMap<TlbKey, TlbEntry>,
     /// MRU hint: `(tag, slot, set)` of the most recent bounded hit or
     /// insert. Coalesced line requests translate the same page many
     /// times back to back; the hint lets [`Self::lookup`] skip the
@@ -254,17 +290,10 @@ impl Tlb {
                 reach: None,
             }))
         });
-        let (nsets, ways) = match config.organization {
-            TlbOrganization::FullyAssociative { entries } => {
-                assert!(entries > 0, "TLB must have entries");
-                (1, entries)
-            }
-            TlbOrganization::SetAssociative { entries, ways } => {
-                assert!(ways > 0 && entries % ways == 0, "ways must divide entries");
-                (entries / ways, ways)
-            }
-            TlbOrganization::Infinite => (0, 0),
-        };
+        let (nsets, ways) = config
+            .organization
+            .geometry()
+            .expect("a bounded TLB must have entries, and ways must divide entries");
         let total = nsets * ways;
         Tlb {
             config,
@@ -274,7 +303,7 @@ impl Tlb {
             entries: vec![EMPTY_ENTRY; total],
             last_use: vec![0; total],
             occupancy: vec![0; nsets],
-            unbounded: FxHashMap::default(),
+            unbounded: SortedMap::default(),
             last_hit: None,
             ways,
             use_clock: 0,
@@ -661,64 +690,61 @@ impl Tlb {
                     .collect()
             })
             .collect();
-        let mut unbounded: Vec<(TlbKey, TlbEntry)> =
-            self.unbounded.iter().map(|(k, e)| (*k, *e)).collect();
-        unbounded.sort_by_key(|(k, _)| (k.asid.0, k.vpn.raw()));
         TlbSnapshot {
             config: self.config,
             sets,
-            unbounded,
+            unbounded: self.unbounded.clone(),
             use_clock: self.use_clock,
             stats: self.stats,
             reach: self.reach.as_ref().map(|r| Box::new(r.snapshot())),
         }
     }
 
-    /// Restores state captured by [`Tlb::snapshot`] into this TLB,
-    /// which must have been built with the same configuration. After
-    /// this, the TLB behaves bit-identically to the snapshotted one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's organization does not match, or a set
-    /// holds more slots than the geometry allows.
-    pub fn restore(&mut self, snap: &TlbSnapshot) {
-        assert_eq!(self.config, snap.config, "TLB snapshot config mismatch");
-        assert_eq!(
-            snap.sets.len(),
-            self.n_sets,
-            "TLB snapshot set count mismatch"
-        );
-        self.occupancy.fill(0);
-        self.unbounded.clear();
+    /// Rebuilds a TLB from its mirror, checking the mirror's own
+    /// geometry: one slot list per set, none longer than the ways,
+    /// every VPN within 48 bits, and a reach sub-array exactly when
+    /// the configuration has one.
+    pub fn from_snapshot(snap: &TlbSnapshot) -> Result<Self, Error> {
+        // Geometry first: the allocation below is sized by the config.
+        if snap.config.organization.geometry().map(|(sets, _)| sets) != Some(snap.sets.len()) {
+            return Err(Error::msg("TLB snapshot set count mismatch"));
+        }
+        if snap
+            .config
+            .reach
+            .is_some_and(|r| r.entries == 0 || r.span < 2)
+        {
+            return Err(Error::msg("TLB snapshot reach sub-array mismatch"));
+        }
+        let mut t = Tlb::new(snap.config);
         for (set, slots) in snap.sets.iter().enumerate() {
-            assert!(
-                slots.len() <= self.ways,
-                "TLB snapshot set {set} overflows {} ways",
-                self.ways
-            );
-            let base = set * self.ways;
-            for (w, slot) in slots.iter().enumerate() {
-                self.packed[base + w] = AsidKey::checked(slot.key.asid, slot.key.vpn.raw())
-                    .expect("TLB snapshot VPN exceeds 48 bits");
-                self.entries[base + w] = slot.entry;
-                self.last_use[base + w] = slot.last_use;
+            if slots.len() > t.ways {
+                return Err(Error::msg(format!(
+                    "TLB snapshot set {set} overflows {} ways",
+                    t.ways
+                )));
             }
-            self.occupancy[set] = slots.len() as u32;
+            for (i, slot) in (set * t.ways..).zip(slots) {
+                t.packed[i] = AsidKey::checked(slot.key.asid, slot.key.vpn.raw())
+                    .ok_or_else(|| Error::msg("TLB snapshot VPN exceeds 48 bits"))?;
+                t.entries[i] = slot.entry;
+                t.last_use[i] = slot.last_use;
+            }
+            t.occupancy[set] = slots.len() as u32;
         }
-        for &(k, e) in &snap.unbounded {
-            self.unbounded.insert(k, e);
-        }
-        self.use_clock = snap.use_clock;
-        self.stats = snap.stats;
-        self.last_hit = None;
-        match (self.reach.as_mut(), snap.reach.as_ref()) {
-            (Some(r), Some(s)) => r.restore(s),
-            (None, None) => {}
-            _ => unreachable!("config equality covers the reach sub-array"),
-        }
+        t.unbounded.clone_from(&snap.unbounded);
+        t.use_clock = snap.use_clock;
+        t.stats = snap.stats;
+        t.reach = match (t.reach.take(), snap.reach.as_deref()) {
+            (Some(r), Some(s)) if r.config == s.config => Some(Box::new(Tlb::from_snapshot(s)?)),
+            (None, None) => None,
+            _ => return Err(Error::msg("TLB snapshot reach sub-array mismatch")),
+        };
+        Ok(t)
     }
 }
+
+gvc_engine::checkpoint_via_mirror!(Tlb, TlbSnapshot, "TLB snapshot config mismatch");
 
 /// One resident bounded-TLB slot, in within-set scan order. A mirror,
 /// because the live TLB keeps its slots as SoA tag arrays.
@@ -733,17 +759,16 @@ pub struct TlbSlotSnapshot {
 }
 
 /// Full serializable state of a [`Tlb`] (see [`Tlb::snapshot`]).
-/// A mirror, because the SoA tag arrays and the MRU hint are rebuilt on
-/// restore; the unbounded map is stored as `(asid, vpn)`-sorted pairs
-/// so serialization is deterministic.
+/// A mirror, because the SoA tag arrays and the MRU hint are rebuilt
+/// from it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TlbSnapshot {
     /// Organization the TLB was built with (validated on restore).
     pub config: TlbConfig,
     /// Per-set resident slots, in scan order.
     pub sets: Vec<Vec<TlbSlotSnapshot>>,
-    /// Infinite-organization entries, sorted by `(asid, vpn)`.
-    pub unbounded: Vec<(TlbKey, TlbEntry)>,
+    /// Infinite-organization entries, written sorted by `(asid, vpn)`.
+    pub unbounded: SortedMap<TlbKey, TlbEntry>,
     /// The LRU use clock.
     pub use_clock: u64,
     /// Statistics so far.
@@ -1002,7 +1027,7 @@ mod tests {
             }
             let snap = a.snapshot();
             let mut b = Tlb::new(config);
-            b.restore(&snap);
+            b.restore(&Tlb::from_snapshot(&snap).expect("mirror decodes"));
             assert_eq!(b.snapshot(), snap, "snapshot→restore→snapshot fixed point");
             // Identical op sequence from here must keep the twins in
             // lockstep, including evictions and stats.
@@ -1031,7 +1056,7 @@ mod tests {
     fn restore_rejects_mismatched_geometry() {
         let a = Tlb::new(TlbConfig::per_cu(4));
         let mut b = Tlb::new(TlbConfig::per_cu(8));
-        b.restore(&a.snapshot());
+        b.restore(&a);
     }
 
     #[test]
@@ -1168,7 +1193,7 @@ mod tests {
         a.lookup(key(600), Cycle::new(3));
         let snap = a.snapshot();
         let mut b = Tlb::new(config);
-        b.restore(&snap);
+        b.restore(&Tlb::from_snapshot(&snap).expect("mirror decodes"));
         assert_eq!(b.snapshot(), snap, "snapshot→restore→snapshot fixed point");
         for v in [512u64, 700, 1024, 1500, 7] {
             assert_eq!(

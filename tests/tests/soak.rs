@@ -160,9 +160,37 @@ fn widen(v: &mut Value, key: &str) {
     assert!(set_first(v, key), "no `{key}` to widen");
 }
 
-/// Each restore-time check on a checkpoint's components still fires:
-/// one real checkpoint, mutated at one JSON path per case, must make
-/// `SoakSim::restore` panic with that component's message.
+/// Adds an in-flight translation fill whose VPN is 2^48 to the first
+/// CU's list. The virtual hierarchy has no per-CU TLBs, so its lists
+/// start empty.
+fn wide_tlb_fill(v: &mut Value) {
+    let Value::Seq(cus) = v else {
+        panic!("tlb_inflight is not a list")
+    };
+    let Value::Seq(fills) = &mut cus[0] else {
+        panic!("a CU's fills are not a list")
+    };
+    let key = Value::Map(vec![
+        ("asid".into(), Value::UInt(0)),
+        ("vpn".into(), Value::UInt(1 << 48)),
+    ]);
+    fills.push(Value::Seq(vec![key, Value::UInt(1)]));
+}
+
+/// Repeats a list's first entry at its end.
+fn dup_first(v: &mut Value) {
+    let Value::Seq(s) = v else {
+        panic!("not a list")
+    };
+    let first = s.first().expect("an entry to repeat").clone();
+    s.push(first);
+}
+
+/// Each check on a checkpoint's components still fires: one real
+/// checkpoint, mutated at one JSON path per case, must fail with that
+/// component's message. A check on a component's own shape (a packed
+/// key's width, a repeated map key) fails the decode; a check against
+/// the simulation being restored into makes `SoakSim::restore` panic.
 #[test]
 fn restore_rejects_each_mismatched_component() {
     type Mutation = fn(&mut Value);
@@ -172,7 +200,7 @@ fn restore_rejects_each_mismatched_component() {
     sim.run_epoch();
     sim.run_epoch();
     let base = sim.snapshot().to_value();
-    let cases: [(&str, Mutation, &str); 12] = [
+    let cases: [(&str, Mutation, &str); 14] = [
         ("mem.dram.config", bump, "DRAM snapshot config mismatch"),
         (
             "mem.dir.lookup_latency",
@@ -213,16 +241,31 @@ fn restore_rejects_each_mismatched_component() {
             |v| widen(v, "vpn"),
             "TLB snapshot VPN exceeds 48 bits",
         ),
+        (
+            "mem.tlb_inflight",
+            wide_tlb_fill,
+            "in-flight TLB fill snapshot VPN exceeds 48 bits",
+        ),
+        (
+            "mem.filters[0].counters",
+            dup_first,
+            "repeats an earlier key",
+        ),
     ];
     SoakSim::new(&cfg, sys).restore(&SoakCheckpoint::from_value(&base).expect("checkpoint"));
     for (path, mutate, expected) in cases {
         let mut value = base.clone();
         mutate(at(&mut value, path));
-        let ckpt = SoakCheckpoint::from_value(&value).expect("still a checkpoint");
-        let mut fresh = SoakSim::new(&cfg, sys);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fresh.restore(&ckpt)))
-            .expect_err(path);
-        let msg = runner::panic_message(&*panic);
+        let msg = match SoakCheckpoint::from_value(&value) {
+            Err(e) => e.to_string(),
+            Ok(ckpt) => {
+                let mut fresh = SoakSim::new(&cfg, sys);
+                let panic =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fresh.restore(&ckpt)))
+                        .expect_err(path);
+                runner::panic_message(&*panic)
+            }
+        };
         assert!(msg.contains(expected), "{path}: {msg}");
     }
 }
