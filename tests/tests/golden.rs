@@ -34,8 +34,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Fingerprints the pretty JSON of `figure`, after checking that
 /// serializing it directly and serializing its `Value` tree give the
-/// same text.
-fn fingerprint<T: serde::Serialize>(figure: &T) -> u64 {
+/// same text, and that the text decodes to a value that writes the
+/// same text again (the typed round trip every pinned type must pass).
+fn fingerprint<T: serde::Serialize + serde::Deserialize>(figure: &T) -> u64 {
     let json = serde_json::to_string_pretty(figure).expect("serialize");
     let via_tree = serde_json::to_string_pretty(&figure.to_value()).expect("serialize");
     assert!(
@@ -43,6 +44,11 @@ fn fingerprint<T: serde::Serialize>(figure: &T) -> u64 {
         "direct and Value-tree JSON differ ({} vs {} bytes)",
         json.len(),
         via_tree.len()
+    );
+    let back: T = serde_json::from_str(&json).expect("the pinned text decodes");
+    assert!(
+        serde_json::to_string_pretty(&back).expect("serialize") == json,
+        "the pinned text does not survive a typed round trip"
     );
     fnv1a(json.as_bytes())
 }
