@@ -203,40 +203,29 @@ pub fn save_checkpoint(path: &str, ckpt: &SoakCheckpoint) -> Result<(), String> 
 }
 
 /// Loads a checkpoint if the file exists, validating the schema
-/// version *before* deserializing the rest (a future-versioned file
-/// must be rejected with its version named, not a field soup).
+/// version *before* decoding the rest (a future-versioned file must be
+/// rejected with its version named, not a field soup). The text is
+/// decoded straight into the checkpoint, with no tree in between.
 pub fn load_checkpoint(path: &str) -> Result<Option<SoakCheckpoint>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("{path}: {e}")),
     };
-    let value: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let version = match &value {
-        serde::Value::Map(entries) => {
-            entries
-                .iter()
-                .find(|(k, _)| k == "version")
-                .and_then(|(_, v)| match v {
-                    serde::Value::UInt(n) => Some(*n),
-                    _ => None,
-                })
-        }
-        _ => None,
-    };
-    match version {
-        None => return Err(format!("{path}: not a soak checkpoint (no version field)")),
-        Some(v) if v != u64::from(SOAK_CHECKPOINT_VERSION) => {
+    // The version is the first key; read it alone before the rest.
+    let mut head = serde::JsonReader::new(&text);
+    match head.open_map().and_then(|()| head.field::<u64>("version")) {
+        Err(_) => return Err(format!("{path}: not a soak checkpoint (no version field)")),
+        Ok(v) if v != u64::from(SOAK_CHECKPOINT_VERSION) => {
             return Err(format!(
                 "{path}: checkpoint schema version {v} (this binary writes \
                  {SOAK_CHECKPOINT_VERSION}); refusing to guess"
             ))
         }
-        Some(_) => {}
+        Ok(_) => {}
     }
-    let ckpt = SoakCheckpoint::from_value(&value)
-        .map_err(|e| format!("{path}: malformed checkpoint: {e}"))?;
+    let ckpt =
+        serde_json::from_str(&text).map_err(|e| format!("{path}: malformed checkpoint: {e}"))?;
     Ok(Some(ckpt))
 }
 

@@ -166,7 +166,9 @@ impl BankedCache {
     /// Rebuilds a banked cache from its mirror: every bank from its own
     /// mirror, with one port per bank.
     pub fn from_snapshot(snap: &BankedCacheSnapshot) -> Result<Self, Error> {
-        let banks = snap.banks.iter().map(SetAssocCache::from_snapshot);
+        let banks = snap.banks.iter().enumerate().map(|(i, bank)| {
+            SetAssocCache::from_snapshot(bank).map_err(|e| e.at(&format!("[{i}]")).at(".banks"))
+        });
         let banks = banks.collect::<Result<Vec<_>, _>>()?;
         let n = banks.len();
         if n == 0 || snap.ports.len() != n {

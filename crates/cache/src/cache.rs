@@ -1,5 +1,6 @@
 //! Set-associative tag-store cache with LRU replacement and MSHRs.
 
+use gvc_engine::checkpoint::check_slots;
 use gvc_engine::time::Cycle;
 use gvc_engine::{Counter, EntryKey, SortedMap};
 use gvc_mem::{Asid, AsidKey, Perms, LINES_PER_PAGE, LINE_BYTES};
@@ -521,20 +522,22 @@ impl SetAssocCache {
     pub fn from_snapshot(snap: &CacheSnapshot) -> Result<Self, Error> {
         // Geometry first: the allocation below is sized by the config.
         let (lines, ways) = (snap.config.lines(), snap.config.ways);
+        check_slots("cache snapshot", lines)?;
         if lines == 0 || snap.sets.len().checked_mul(ways) != Some(lines) {
             return Err(Error::msg("cache snapshot set count mismatch"));
         }
         let mut c = SetAssocCache::new(snap.config);
         for (set, slots) in snap.sets.iter().enumerate() {
+            let at_set = |e: Error| e.at(&format!("[{set}]")).at(".sets");
             if slots.len() > ways {
-                return Err(Error::msg(format!(
-                    "cache snapshot set {set} overflows {ways} ways"
-                )));
+                let overflow = format!("cache snapshot set {set} overflows {ways} ways");
+                return Err(at_set(Error::msg(overflow)));
             }
             for (i, slot) in (set * ways..).zip(slots) {
                 let k = slot.line.key;
-                c.packed[i] = AsidKey::checked(k.asid, k.line)
-                    .ok_or_else(|| Error::msg("cache snapshot line index exceeds 48 bits"))?;
+                c.packed[i] = AsidKey::checked(k.asid, k.line).ok_or_else(|| {
+                    at_set(Error::msg("cache snapshot line index exceeds 48 bits"))
+                })?;
                 c.last_use[i] = slot.last_use;
                 c.meta[i] = LineMeta {
                     perms: slot.line.perms,

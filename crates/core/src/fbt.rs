@@ -20,6 +20,7 @@
 //! caches and are replayed with the leading address (§4.1).
 
 use crate::bitvec::Presence;
+use gvc_engine::checkpoint::check_slots;
 use gvc_engine::{Counter, FxHashMap};
 use gvc_mem::{Asid, Perms, Ppn, Vpn};
 use serde::{Deserialize, Error, Serialize};
@@ -444,13 +445,15 @@ impl Fbt {
     pub fn from_snapshot(snap: &FbtSnapshot) -> Result<Self, Error> {
         // Geometry first: the allocation below is sized by the config.
         let ways = snap.config.ways;
+        check_slots("FBT snapshot", snap.config.entries)?;
         if ways == 0 || snap.sets.len().checked_mul(ways) != Some(snap.config.entries) {
             return Err(Error::msg("FBT snapshot set count mismatch"));
         }
         let mut fbt = Fbt::new(snap.config);
         for (set_idx, (set, snap_set)) in fbt.sets.iter_mut().zip(&snap.sets).enumerate() {
             if snap_set.len() != set.len() {
-                return Err(Error::msg("FBT snapshot way count mismatch"));
+                let e = Error::msg("FBT snapshot way count mismatch");
+                return Err(e.at(&format!("[{set_idx}]")).at(".sets"));
             }
             set.copy_from_slice(snap_set);
             for (way, snap_slot) in snap_set.iter().enumerate() {

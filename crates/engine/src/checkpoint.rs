@@ -2,31 +2,64 @@
 //! map written in key order, and [`checkpoint_via_mirror!`], which
 //! gives a struct-of-arrays type `Serialize`, `Deserialize` and
 //! `PartialEq` through one mirror struct, so the structs holding it
-//! still derive.
+//! still derive. [`check_slots`] bounds what such a mirror's config
+//! may ask its decode to allocate.
 
 use crate::fxhash::FxHashMap;
-use serde::{Deserialize, Error, Serialize, Sink, Value};
+use serde::{Deserialize, Error, JsonReader, Serialize, Sink};
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+
+/// The most slots (TLB entries, cache lines, FBT entries) one decoded
+/// structure may hold. A struct-of-arrays type is allocated at the
+/// size its config, read from the file, asks for, so the config is
+/// checked against this first. Every preset is far below it; the
+/// largest structure holds 64 Ki slots.
+pub const MAX_SLOTS: usize = 1 << 24;
+
+/// Errors naming `what` if `slots` exceeds [`MAX_SLOTS`].
+pub fn check_slots(what: &str, slots: usize) -> Result<(), Error> {
+    if slots > MAX_SLOTS {
+        return Err(Error::msg(format!(
+            "{what} asks for {slots} slots, over the cap of {MAX_SLOTS}"
+        )));
+    }
+    Ok(())
+}
 
 /// How a [`SortedMap`] key is written: as the leading elements of its
 /// entry, which ends with the value. A key is one element; a tuple key
 /// is spliced in, one element a field.
 pub trait EntryKey: Serialize + Deserialize {
+    /// How many elements the key takes.
+    const ELEMENTS: usize = 1;
+
     /// Streams the key's elements, each preceded by `sink.element()`.
     fn serialize_elements<S: Sink>(&self, sink: &mut S) {
         sink.element();
         self.serialize(sink);
     }
+
+    /// Reads the key's elements from the open entry, the twin of
+    /// [`Self::serialize_elements`].
+    fn deserialize_elements(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.element(0)
+    }
 }
 
 impl<A: Serialize + Deserialize, B: Serialize + Deserialize> EntryKey for (A, B) {
+    const ELEMENTS: usize = 2;
+
     fn serialize_elements<S: Sink>(&self, sink: &mut S) {
         sink.element();
         self.0.serialize(sink);
         sink.element();
         self.1.serialize(sink);
+    }
+
+    fn deserialize_elements(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        Ok((r.element(0)?, r.element(1)?))
     }
 }
 
@@ -119,27 +152,19 @@ where
     V: Deserialize,
     W: EntryKey,
 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let Value::Seq(entries) = v else {
-            return Err(Error::expected("sorted-map entries", v));
-        };
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         let mut out = SortedMap::default();
-        for (i, entry) in entries.iter().enumerate() {
-            let (value, key) = match entry {
-                Value::Seq(items) if items.len() >= 2 => items.split_last().expect("not empty"),
-                other => return Err(Error::expected("sorted-map entry", other)),
-            };
-            let key = match key {
-                [one] => W::from_value(one)?,
-                several => W::from_value(&Value::Seq(several.to_vec()))?,
-            };
+        r.seq(|r| {
+            r.open_seq()?;
+            let key = W::deserialize_elements(r)?;
             let key = K::try_from(key).map_err(|e| Error::msg(e.to_string()))?;
-            if out.insert(key, V::from_value(value)?).is_some() {
-                return Err(Error::msg(format!(
-                    "sorted-map entry {i} repeats an earlier key"
-                )));
+            let value = r.element(W::ELEMENTS)?;
+            r.close_seq()?;
+            match out.insert(key, value) {
+                None => Ok(()),
+                Some(_) => Err(Error::msg("sorted-map entry repeats an earlier key")),
             }
-        }
+        })?;
         Ok(out)
     }
 }
@@ -176,8 +201,10 @@ macro_rules! checkpoint_via_mirror {
         }
 
         impl ::serde::Deserialize for $live {
-            fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {
-                Self::from_snapshot(&<$mirror as ::serde::Deserialize>::from_value(v)?)
+            fn deserialize(
+                r: &mut ::serde::JsonReader<'_>,
+            ) -> ::std::result::Result<Self, ::serde::Error> {
+                Self::from_snapshot(&<$mirror as ::serde::Deserialize>::deserialize(r)?)
             }
         }
 

@@ -10,7 +10,7 @@
 use crate::addr::{PAddr, Ppn, PAGE_BYTES};
 use crate::MemError;
 use gvc_engine::{EntryKey, SortedMap};
-use serde::{Deserialize, Error, Serialize, Sink, Value};
+use serde::{Deserialize, Error, JsonReader, Serialize, Sink};
 
 /// Number of 8-byte entries in one page-table frame.
 pub const ENTRIES_PER_FRAME: usize = (PAGE_BYTES / 8) as usize;
@@ -31,13 +31,15 @@ impl Serialize for Frame {
 }
 
 impl Deserialize for Frame {
-    fn from_value(v: &Value) -> Result<Self, Error> {
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         let mut frame = Box::new([0u64; ENTRIES_PER_FRAME]);
-        for (i, e) in Vec::<(u32, u64)>::from_value(v)? {
+        r.seq(|r| {
+            let (i, e) = <(u32, u64)>::deserialize(r)?;
             *frame
                 .get_mut(i as usize)
                 .ok_or_else(|| Error::msg(format!("page-table frame has no entry {i}")))? = e;
-        }
+            Ok(())
+        })?;
         Ok(Frame(frame))
     }
 }

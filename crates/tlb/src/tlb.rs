@@ -5,6 +5,7 @@
 //! Entries are keyed by `(Asid, Vpn)` so homonyms (the same virtual
 //! page in different address spaces) never collide.
 
+use gvc_engine::checkpoint::check_slots;
 use gvc_engine::time::Cycle;
 use gvc_engine::{Counter, EntryKey, SortedMap};
 use gvc_mem::{Asid, AsidKey, Perms, Ppn, Vpn};
@@ -706,7 +707,14 @@ impl Tlb {
     /// the configuration has one.
     pub fn from_snapshot(snap: &TlbSnapshot) -> Result<Self, Error> {
         // Geometry first: the allocation below is sized by the config.
-        if snap.config.organization.geometry().map(|(sets, _)| sets) != Some(snap.sets.len()) {
+        let geometry = snap.config.organization.geometry();
+        let reach = snap.config.reach.map_or(0, |r| r.entries);
+        check_slots(
+            "TLB snapshot",
+            geometry.map_or(0, |(sets, ways)| sets * ways),
+        )?;
+        check_slots("TLB snapshot reach sub-array", reach)?;
+        if geometry.map(|(sets, _)| sets) != Some(snap.sets.len()) {
             return Err(Error::msg("TLB snapshot set count mismatch"));
         }
         if snap
@@ -718,15 +726,14 @@ impl Tlb {
         }
         let mut t = Tlb::new(snap.config);
         for (set, slots) in snap.sets.iter().enumerate() {
+            let at_set = |e: Error| e.at(&format!("[{set}]")).at(".sets");
             if slots.len() > t.ways {
-                return Err(Error::msg(format!(
-                    "TLB snapshot set {set} overflows {} ways",
-                    t.ways
-                )));
+                let overflow = format!("TLB snapshot set {set} overflows {} ways", t.ways);
+                return Err(at_set(Error::msg(overflow)));
             }
             for (i, slot) in (set * t.ways..).zip(slots) {
                 t.packed[i] = AsidKey::checked(slot.key.asid, slot.key.vpn.raw())
-                    .ok_or_else(|| Error::msg("TLB snapshot VPN exceeds 48 bits"))?;
+                    .ok_or_else(|| at_set(Error::msg("TLB snapshot VPN exceeds 48 bits")))?;
                 t.entries[i] = slot.entry;
                 t.last_use[i] = slot.last_use;
             }
@@ -736,7 +743,9 @@ impl Tlb {
         t.use_clock = snap.use_clock;
         t.stats = snap.stats;
         t.reach = match (t.reach.take(), snap.reach.as_deref()) {
-            (Some(r), Some(s)) if r.config == s.config => Some(Box::new(Tlb::from_snapshot(s)?)),
+            (Some(r), Some(s)) if r.config == s.config => {
+                Some(Box::new(Tlb::from_snapshot(s).map_err(|e| e.at(".reach"))?))
+            }
             (None, None) => None,
             _ => return Err(Error::msg("TLB snapshot reach sub-array mismatch")),
         };

@@ -141,23 +141,28 @@ fn overflow_pwc_set(pwc: &mut Value) {
     }
 }
 
-/// Sets the first integer field named `key` under `v` to 2^48, one past
-/// the index bits a packed cache, TLB or MSHR key holds.
-fn widen(v: &mut Value, key: &str) {
-    fn set_first(v: &mut Value, key: &str) -> bool {
+/// Sets the first integer field named `key` under `v` to `to`.
+fn set_first(v: &mut Value, key: &str, to: u64) {
+    fn set(v: &mut Value, key: &str, to: u64) -> bool {
         match v {
             Value::Map(m) => m.iter_mut().any(|(k, x)| match x {
                 Value::UInt(n) if k == key => {
-                    *n = 1 << 48;
+                    *n = to;
                     true
                 }
-                _ => set_first(x, key),
+                _ => set(x, key, to),
             }),
-            Value::Seq(s) => s.iter_mut().any(|x| set_first(x, key)),
+            Value::Seq(s) => s.iter_mut().any(|x| set(x, key, to)),
             _ => false,
         }
     }
-    assert!(set_first(v, key), "no `{key}` to widen");
+    assert!(set(v, key, to), "no `{key}` to set");
+}
+
+/// Sets the first integer field named `key` under `v` to 2^48, one past
+/// the index bits a packed cache, TLB or MSHR key holds.
+fn widen(v: &mut Value, key: &str) {
+    set_first(v, key, 1 << 48);
 }
 
 /// Adds an in-flight translation fill whose VPN is 2^48 to the first
@@ -189,8 +194,9 @@ fn dup_first(v: &mut Value) {
 /// Each check on a checkpoint's components still fires: one real
 /// checkpoint, mutated at one JSON path per case, must fail with that
 /// component's message. A check on a component's own shape (a packed
-/// key's width, a repeated map key) fails the decode; a check against
-/// the simulation being restored into makes `SoakSim::restore` panic.
+/// key's width, a repeated map key) fails the decode, with an error
+/// that names the mutated path; a check against the simulation being
+/// restored into makes `SoakSim::restore` panic.
 #[test]
 fn restore_rejects_each_mismatched_component() {
     type Mutation = fn(&mut Value);
@@ -257,7 +263,11 @@ fn restore_rejects_each_mismatched_component() {
         let mut value = base.clone();
         mutate(at(&mut value, path));
         let msg = match SoakCheckpoint::from_value(&value) {
-            Err(e) => e.to_string(),
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains(&format!("$.{path}")), "{path}: {msg}");
+                msg
+            }
             Ok(ckpt) => {
                 let mut fresh = SoakSim::new(&cfg, sys);
                 let panic =
@@ -267,6 +277,48 @@ fn restore_rejects_each_mismatched_component() {
             }
         };
         assert!(msg.contains(expected), "{path}: {msg}");
+    }
+}
+
+/// Every preset's checkpoint decodes, so every TLB, cache and FBT a
+/// preset builds fits under the slot cap a decode checks first.
+#[test]
+fn every_preset_fits_the_slot_cap() {
+    for name in gvc_bench::trace::DESIGN_NAMES {
+        let sys = gvc_bench::trace::design_by_name(name).expect("a preset");
+        let text =
+            serde_json::to_string(&SoakSim::new(&small_cfg(), sys).snapshot()).expect("serialize");
+        if let Err(e) = serde_json::from_str::<SoakCheckpoint>(&text) {
+            panic!("{name}: {e}");
+        }
+    }
+}
+
+/// A TLB, cache or FBT config whose size, read from the file, asks for
+/// 2^40 slots fails the decode with a named error before anything is
+/// allocated.
+#[test]
+fn decode_refuses_a_config_past_the_slot_cap() {
+    let mut sim = SoakSim::new(&small_cfg(), SystemConfig::vc_with_opt());
+    sim.run_epoch();
+    let base = sim.snapshot().to_value();
+    let cases: [(&str, &str, u64, &str); 4] = [
+        ("mem.tlbs[0]", "entries", 1 << 40, "TLB snapshot asks for"),
+        ("mem.iommu.tlb", "entries", 1 << 40, "TLB snapshot asks for"),
+        ("mem.l1[0]", "bytes", 64 << 40, "cache snapshot asks for"),
+        ("mem.fbt", "entries", 1 << 40, "FBT snapshot asks for"),
+    ];
+    for (path, key, to, expected) in cases {
+        let mut value = base.clone();
+        set_first(at(&mut value, &format!("{path}.config")), key, to);
+        let msg = SoakCheckpoint::from_value(&value)
+            .expect_err(path)
+            .to_string();
+        assert!(msg.starts_with(&format!("$.{path}: ")), "{path}: {msg}");
+        assert!(
+            msg.contains(expected) && msg.contains("over the cap"),
+            "{path}: {msg}"
+        );
     }
 }
 
