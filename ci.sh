@@ -109,6 +109,35 @@ for ckpt in "$soak_dir/state/soak_baseline.ckpt.json" "$soak_dir/state/soak_vc.c
         python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$ckpt"
     fi
 done
+# A corrupt checkpoint is a named error, not a panic: resuming from a
+# copy whose vc checkpoint is cut at half its length, or whose first
+# "epoch" key is renamed, exits 1 and names the malformed checkpoint and
+# the `$` path of the fault, and the real state directory is untouched.
+state_sum=$(cat "$soak_dir"/state/* | cksum)
+for fault in truncated renamed; do
+    bad="$soak_dir/$fault"
+    cp -r "$soak_dir/state" "$bad"
+    ckpt="$bad/soak_vc.ckpt.json"
+    if [ "$fault" = truncated ]; then
+        head -c $(( $(wc -c < "$ckpt") / 2 )) "$ckpt" > "$ckpt.cut"
+        mv "$ckpt.cut" "$ckpt"
+    else
+        sed -i '0,/"epoch"/s//"epoch_renamed"/' "$ckpt"
+    fi
+    status=0
+    ./target/release/repro soak "${soak_flags[@]}" --state "$bad" \
+        --checkpoint-every 2 --json "$bad/out" 2> "$bad/stderr" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q 'malformed checkpoint' "$bad/stderr" \
+        || ! grep -qF '$.' "$bad/stderr"; then
+        echo "resuming a $fault checkpoint exited $status, expected 1 with a named error:" >&2
+        cat "$bad/stderr" >&2
+        exit 1
+    fi
+done
+if [ "$(cat "$soak_dir"/state/* | cksum)" != "$state_sum" ]; then
+    echo "resuming a corrupt copy changed the real state directory" >&2
+    exit 1
+fi
 ./target/release/repro soak "${soak_flags[@]}" \
     --state "$soak_dir/state" --checkpoint-every 2 --json "$soak_dir/resumed"
 cmp "$soak_dir/clean/soak.json" "$soak_dir/resumed/soak.json"
