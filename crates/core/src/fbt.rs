@@ -449,6 +449,11 @@ impl Fbt {
         if ways == 0 || snap.sets.len().checked_mul(ways) != Some(snap.config.entries) {
             return Err(Error::msg("FBT snapshot set count mismatch"));
         }
+        // An insert scans the first `usable_ways` ways of a set.
+        if !(1..=ways as u64).contains(&snap.usable_ways) {
+            let e = Error::msg(format!("FBT snapshot usable ways outside 1..={ways}"));
+            return Err(e.at(".usable_ways"));
+        }
         let mut fbt = Fbt::new(snap.config);
         for (set_idx, (set, snap_set)) in fbt.sets.iter_mut().zip(&snap.sets).enumerate() {
             if snap_set.len() != set.len() {

@@ -206,7 +206,7 @@ fn restore_rejects_each_mismatched_component() {
     sim.run_epoch();
     sim.run_epoch();
     let base = sim.snapshot().to_value();
-    let cases: [(&str, Mutation, &str); 14] = [
+    let cases: [(&str, Mutation, &str); 15] = [
         ("mem.dram.config", bump, "DRAM snapshot config mismatch"),
         (
             "mem.dir.lookup_latency",
@@ -256,6 +256,11 @@ fn restore_rejects_each_mismatched_component() {
             "mem.filters[0].counters",
             dup_first,
             "repeats an earlier key",
+        ),
+        (
+            "mem.fbt.usable_ways",
+            |v| *v = Value::UInt(99),
+            "FBT snapshot usable ways outside 1..=",
         ),
     ];
     SoakSim::new(&cfg, sys).restore(&SoakCheckpoint::from_value(&base).expect("checkpoint"));
