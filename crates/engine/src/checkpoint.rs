@@ -15,7 +15,7 @@ use std::ops::{Deref, DerefMut};
 /// structure may hold. A struct-of-arrays type is allocated at the
 /// size its config, read from the file, asks for, so the config is
 /// checked against this first. Every preset is far below it; the
-/// largest structure holds 64 Ki slots.
+/// largest structure holds 16 Ki slots.
 pub const MAX_SLOTS: usize = 1 << 24;
 
 /// Errors naming `what` if `slots` exceeds [`MAX_SLOTS`].
