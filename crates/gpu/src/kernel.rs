@@ -2,11 +2,17 @@
 //!
 //! A [`Kernel`] is a bag of wavefront programs (already flattened from
 //! workgroups — this model has no barriers, which none of the
-//! reproduced access patterns need). Each program lazily yields
-//! [`WaveOp`]s: per-lane memory operations, scratchpad traffic, and
-//! compute delays. Iterative workloads (BFS levels, PageRank sweeps)
-//! implement [`KernelSource`] to emit one kernel per host-side
-//! iteration.
+//! reproduced access patterns need). Each program yields [`WaveOp`]s:
+//! per-lane memory operations, scratchpad traffic, and compute delays.
+//! Iterative workloads (BFS levels, PageRank sweeps) implement
+//! [`KernelSource`] to emit one kernel per host-side iteration.
+//!
+//! A workload's wave owns only its inputs: a few vertex ids or a tile
+//! coordinate, plus shared handles to the arrays and host state it
+//! reads. [`KernelBuilder::deferred_wave`] runs the wave's builder on
+//! its first `next()`, when the simulator first issues the wave, and
+//! the ops are dropped when the wave retires. So a kernel's op lists
+//! exist only for its resident waves, never for the whole kernel.
 
 use gvc_mem::{Asid, VAddr};
 
@@ -58,8 +64,27 @@ impl WaveOp {
     }
 }
 
-/// A lazily evaluated wavefront instruction stream.
+/// A wavefront's instruction stream. The simulator polls it once per
+/// issued op and drops it when it ends; a program from
+/// [`KernelBuilder::deferred_wave`] builds its ops on the first poll.
 pub type WaveProgram = Box<dyn Iterator<Item = WaveOp> + Send>;
+
+/// A wave whose op list is built on its first `next()`.
+struct DeferredWave<F> {
+    build: Option<F>,
+    ops: std::vec::IntoIter<WaveOp>,
+}
+
+impl<F: FnOnce() -> Vec<WaveOp>> Iterator for DeferredWave<F> {
+    type Item = WaveOp;
+
+    fn next(&mut self) -> Option<WaveOp> {
+        if let Some(build) = self.build.take() {
+            self.ops = build().into_iter();
+        }
+        self.ops.next()
+    }
+}
 
 /// One GPU kernel launch: a set of wavefront programs sharing an
 /// address space.
@@ -110,6 +135,18 @@ impl KernelBuilder {
     pub fn wave(mut self, ops: Vec<WaveOp>) -> Self {
         self.kernel.waves.push(Box::new(ops.into_iter()));
         self
+    }
+
+    /// Adds a wavefront whose op list `build` makes on the wave's first
+    /// `next()`. A wave that is never polled never runs `build`. The
+    /// closure owns what it reads (`'static`), so it must capture the
+    /// wave's inputs by value or through shared handles, never a
+    /// borrow of its [`KernelSource`].
+    pub fn deferred_wave(self, build: impl FnOnce() -> Vec<WaveOp> + Send + 'static) -> Self {
+        self.lazy_wave(Box::new(DeferredWave {
+            build: Some(build),
+            ops: Vec::new().into_iter(),
+        }))
     }
 
     /// Adds a wavefront with a lazy program.
@@ -190,6 +227,59 @@ mod tests {
         assert_eq!(k.waves.len(), 3);
         assert_eq!(k.name, "k");
         assert!(format!("{k:?}").contains("waves: 3"));
+    }
+
+    #[test]
+    fn deferred_wave_builds_once_on_first_poll() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+        let runs = Arc::new(AtomicU32::new(0));
+        let counted = |ops: Vec<WaveOp>| {
+            let runs = Arc::clone(&runs);
+            move || {
+                runs.fetch_add(1, Ordering::Relaxed);
+                ops
+            }
+        };
+        let ops = vec![
+            WaveOp::read(vec![VAddr::new(0x40), VAddr::new(0x1000)]),
+            WaveOp::scratch(3),
+            WaveOp::write(vec![VAddr::new(0x80)]),
+            WaveOp::compute(7),
+        ];
+        let k = Kernel::builder("k", Asid(0))
+            .deferred_wave(counted(ops.clone()))
+            .deferred_wave(counted(vec![WaveOp::compute(1)]))
+            .build();
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            0,
+            "building a kernel runs no wave"
+        );
+        let mut waves = k.waves.into_iter();
+        let mut first = waves.next().unwrap();
+        assert_eq!(first.next(), Some(ops[0].clone()));
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            1,
+            "the first poll builds the wave"
+        );
+        let rest: Vec<WaveOp> = first.by_ref().collect();
+        assert_eq!(rest, ops[1..], "the wave yields the builder's ops in order");
+        assert_eq!(first.next(), None);
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            1,
+            "the builder runs exactly once"
+        );
+        // The second wave is dropped without a poll: its builder never runs.
+        drop(waves);
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            Arc::strong_count(&runs),
+            1,
+            "dropping a wave drops its inputs"
+        );
     }
 
     #[test]

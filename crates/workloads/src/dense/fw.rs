@@ -27,33 +27,26 @@ struct FwSource {
     blocked: bool,
 }
 
-impl FwSource {
-    fn tile_waves(&self, k: u64) -> Vec<Vec<WaveOp>> {
-        let n = self.dist.n;
-        let mut waves = Vec::new();
-        for tile_r in (0..n).step_by(32) {
-            for tile_c in (0..n).step_by(32) {
-                let mut ops = Vec::new();
-                // Own tile: strided row gather (32 rows).
-                ops.push(self.dist.col_read(tile_r, tile_c));
-                // Pivot column block dist[i][k] (strided, reused per row).
-                ops.push(self.dist.col_read(tile_r, k));
-                // Pivot row block dist[k][j] (coalesced).
-                ops.push(self.dist.row_read(k % n, tile_c));
-                if self.blocked {
-                    // Stage in scratchpad and iterate BLOCK pivots there.
-                    ops.push(WaveOp::scratch(32 * BLOCK as u32 * 4));
-                    ops.push(WaveOp::compute(16 * BLOCK as u32));
-                } else {
-                    ops.push(WaveOp::compute(16));
-                }
-                // Write back (strided, like the read).
-                ops.push(self.dist.col_write(tile_r, tile_c));
-                waves.push(ops);
-            }
-        }
-        waves
+/// The ops of the wave that updates the tile at `(tile_r, tile_c)`
+/// for pivot `k`.
+fn tile_ops(dist: Matrix, blocked: bool, k: u64, tile_r: u64, tile_c: u64) -> Vec<WaveOp> {
+    let mut ops = Vec::with_capacity(6);
+    // Own tile: strided row gather (32 rows).
+    ops.push(dist.col_read(tile_r, tile_c));
+    // Pivot column block dist[i][k] (strided, reused per row).
+    ops.push(dist.col_read(tile_r, k));
+    // Pivot row block dist[k][j] (coalesced).
+    ops.push(dist.row_read(k % dist.n, tile_c));
+    if blocked {
+        // Stage in scratchpad and iterate BLOCK pivots there.
+        ops.push(WaveOp::scratch(32 * BLOCK as u32 * 4));
+        ops.push(WaveOp::compute(16 * BLOCK as u32));
+    } else {
+        ops.push(WaveOp::compute(16));
     }
+    // Write back (strided, like the read).
+    ops.push(dist.col_write(tile_r, tile_c));
+    ops
 }
 
 impl KernelSource for FwSource {
@@ -68,10 +61,12 @@ impl KernelSource for FwSource {
         let k = self.next_pivot;
         // fw: one sweep per pivot. fw_block: one sweep per BLOCK pivots.
         self.next_pivot += if self.blocked { BLOCK } else { 1 };
-        let waves = self.tile_waves(k);
+        let (dist, blocked) = (self.dist, self.blocked);
         let mut b = Kernel::builder(format!("{}_pivot{k}", self.name), self.asid);
-        for ops in waves {
-            b = b.wave(ops);
+        for tile_r in (0..dist.n).step_by(32) {
+            for tile_c in (0..dist.n).step_by(32) {
+                b = b.deferred_wave(move || tile_ops(dist, blocked, k, tile_r, tile_c));
+            }
         }
         Some(b.build())
     }

@@ -36,33 +36,40 @@ impl KernelSource for LudSource {
         if k + 32 >= n {
             return None;
         }
+        let m = self.m;
         let mut b = Kernel::builder(format!("lud_step{}", self.next_step), self.asid);
         // Perimeter: pivot row (coalesced) and pivot column (strided).
         for col0 in (k..n).step_by(32) {
-            b = b.wave(vec![
-                self.m.row_read(k, col0),
-                WaveOp::compute(8),
-                self.m.row_write(k, col0),
-            ]);
+            b = b.deferred_wave(move || {
+                vec![
+                    m.row_read(k, col0),
+                    WaveOp::compute(8),
+                    m.row_write(k, col0),
+                ]
+            });
         }
         for row0 in (k..n).step_by(32) {
-            b = b.wave(vec![
-                self.m.col_read(row0, k),
-                WaveOp::compute(8),
-                self.m.col_write(row0, k),
-            ]);
+            b = b.deferred_wave(move || {
+                vec![
+                    m.col_read(row0, k),
+                    WaveOp::compute(8),
+                    m.col_write(row0, k),
+                ]
+            });
         }
         // Trailing submatrix tiles: own block (strided) + pivot row
         // (coalesced) + pivot column (strided).
         for tile_r in ((k + 32)..n).step_by(32) {
             for tile_c in ((k + 32)..n).step_by(32) {
-                b = b.wave(vec![
-                    self.m.col_read(tile_r, tile_c),
-                    self.m.row_read(k, tile_c),
-                    self.m.col_read(tile_r, k),
-                    WaveOp::compute(16),
-                    self.m.col_write(tile_r, tile_c),
-                ]);
+                b = b.deferred_wave(move || {
+                    vec![
+                        m.col_read(tile_r, tile_c),
+                        m.row_read(k, tile_c),
+                        m.col_read(tile_r, k),
+                        WaveOp::compute(16),
+                        m.col_write(tile_r, tile_c),
+                    ]
+                });
             }
         }
         Some(b.build())

@@ -11,8 +11,8 @@
 
 use crate::arrays::DevArray;
 use crate::graphs::Graph;
-use gvc_gpu::kernel::WaveOp;
-use gvc_mem::VAddr;
+use gvc_gpu::kernel::{Kernel, WaveOp};
+use gvc_mem::{Asid, VAddr};
 use std::sync::Arc;
 
 /// Lanes per wavefront.
@@ -37,6 +37,9 @@ pub struct GatherSpec {
     pub vertex_reads: Vec<DevArray>,
     /// Arrays written once per active vertex at wave end.
     pub vertex_writes: Vec<DevArray>,
+    /// A scattered write per edge round: to the array, at each
+    /// gathered neighbor `t` whose flag `t` is set (MIS removals...).
+    pub scatter: Option<(DevArray, Arc<[bool]>)>,
     /// Cap on edge rounds per wave (truncates extreme hubs to bound
     /// kernel length; the locality effect of hubs is preserved).
     pub max_rounds: u32,
@@ -55,96 +58,109 @@ impl GatherSpec {
             edge_streams: Vec::new(),
             vertex_reads: Vec::new(),
             vertex_writes: Vec::new(),
+            scatter: None,
             max_rounds: 24,
             compute_every: 4,
         }
     }
 }
 
-/// Builds the wavefront op lists for one gather kernel over the
-/// `active` vertices (32 per wave). `target_write`, when provided,
-/// scatters a write to the given array at each gathered neighbor for
-/// which the predicate holds (BFS distance updates, MIS removals...).
-pub fn gather_waves(
-    spec: &GatherSpec,
-    active: &[u32],
-    target_write: Option<(&DevArray, &dyn Fn(u32) -> bool)>,
-) -> Vec<Vec<WaveOp>> {
+/// One gather kernel over the `active` vertices, 32 per wave. The
+/// waves share `spec` and `active`; each builds its own op list with
+/// [`gather_wave`] when the simulator first issues it.
+pub fn gather_kernel(
+    name: impl Into<String>,
+    asid: Asid,
+    spec: GatherSpec,
+    active: Vec<u32>,
+) -> Kernel {
+    let shared = Arc::new((spec, active));
+    let mut b = Kernel::builder(name, asid);
+    for start in (0..shared.1.len()).step_by(LANES as usize) {
+        let shared = Arc::clone(&shared);
+        b = b.deferred_wave(move || {
+            let (spec, active) = &*shared;
+            let end = (start + LANES as usize).min(active.len());
+            gather_wave(spec, &active[start..end])
+        });
+    }
+    b.build()
+}
+
+/// The op list of one gather wave over `chunk`, its (at most 32)
+/// active vertices.
+pub fn gather_wave(spec: &GatherSpec, chunk: &[u32]) -> Vec<WaveOp> {
     let g = &spec.graph;
-    let mut waves = Vec::with_capacity(active.len().div_ceil(LANES as usize));
     // Worst case per round: the targets read, every edge stream and
     // gather array, a scatter write, and a periodic compute op.
     let ops_per_round = 2 + spec.edge_streams.len() + spec.gather.len() + 1;
-    for chunk in active.chunks(LANES as usize) {
-        let rounds_cap = chunk
-            .iter()
-            .map(|&v| g.degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(spec.max_rounds) as usize;
-        let mut ops: Vec<WaveOp> = Vec::with_capacity(
-            spec.vertex_reads.len() + spec.vertex_writes.len() + 2 + rounds_cap * ops_per_round,
-        );
-        // Per-vertex metadata reads.
-        for arr in &spec.vertex_reads {
-            ops.push(WaveOp::read(
-                chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-            ));
-        }
-        // CSR offsets (two loads in real code: off[v] and off[v+1];
-        // they share lines, one read models both).
+    let rounds_cap = chunk
+        .iter()
+        .map(|&v| g.degree(v))
+        .max()
+        .unwrap_or(0)
+        .min(spec.max_rounds) as usize;
+    let mut ops: Vec<WaveOp> = Vec::with_capacity(
+        spec.vertex_reads.len() + spec.vertex_writes.len() + 2 + rounds_cap * ops_per_round,
+    );
+    // Per-vertex metadata reads.
+    for arr in &spec.vertex_reads {
         ops.push(WaveOp::read(
-            chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
         ));
+    }
+    // CSR offsets (two loads in real code: off[v] and off[v+1];
+    // they share lines, one read models both).
+    ops.push(WaveOp::read(
+        chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+    ));
 
-        let rounds = rounds_cap as u32;
-        for r in 0..rounds {
-            let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(chunk.len());
-            let mut edge_idx: Vec<u64> = Vec::with_capacity(chunk.len());
-            let mut neighbors: Vec<u32> = Vec::with_capacity(chunk.len());
-            for &v in chunk {
-                if r < g.degree(v) {
-                    let e = g.offsets[v as usize] as u64 + r as u64;
-                    tgt_addrs.push(spec.targets.addr(e));
-                    edge_idx.push(e);
-                    neighbors.push(g.targets[e as usize]);
-                }
-            }
-            if tgt_addrs.is_empty() {
-                break;
-            }
-            ops.push(WaveOp::read(tgt_addrs));
-            for es in &spec.edge_streams {
-                ops.push(WaveOp::read(edge_idx.iter().map(|&e| es.addr(e)).collect()));
-            }
-            for ga in &spec.gather {
-                ops.push(WaveOp::read(
-                    neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
-                ));
-            }
-            if let Some((arr, pred)) = target_write {
-                let writes: Vec<VAddr> = neighbors
-                    .iter()
-                    .filter(|&&t| pred(t))
-                    .map(|&t| arr.addr(t as u64))
-                    .collect();
-                if !writes.is_empty() {
-                    ops.push(WaveOp::write(writes));
-                }
-            }
-            if spec.compute_every > 0 && (r + 1) % spec.compute_every == 0 {
-                ops.push(WaveOp::compute(8));
+    let rounds = rounds_cap as u32;
+    for r in 0..rounds {
+        let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(chunk.len());
+        let mut edge_idx: Vec<u64> = Vec::with_capacity(chunk.len());
+        let mut neighbors: Vec<u32> = Vec::with_capacity(chunk.len());
+        for &v in chunk {
+            if r < g.degree(v) {
+                let e = g.offsets[v as usize] as u64 + r as u64;
+                tgt_addrs.push(spec.targets.addr(e));
+                edge_idx.push(e);
+                neighbors.push(g.targets[e as usize]);
             }
         }
-        for arr in &spec.vertex_writes {
-            ops.push(WaveOp::write(
-                chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+        if tgt_addrs.is_empty() {
+            break;
+        }
+        ops.push(WaveOp::read(tgt_addrs));
+        for es in &spec.edge_streams {
+            ops.push(WaveOp::read(edge_idx.iter().map(|&e| es.addr(e)).collect()));
+        }
+        for ga in &spec.gather {
+            ops.push(WaveOp::read(
+                neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
             ));
         }
-        ops.push(WaveOp::compute(4));
-        waves.push(ops);
+        if let Some((arr, flags)) = &spec.scatter {
+            let writes: Vec<VAddr> = neighbors
+                .iter()
+                .filter(|&&t| flags[t as usize])
+                .map(|&t| arr.addr(t as u64))
+                .collect();
+            if !writes.is_empty() {
+                ops.push(WaveOp::write(writes));
+            }
+        }
+        if spec.compute_every > 0 && (r + 1) % spec.compute_every == 0 {
+            ops.push(WaveOp::compute(8));
+        }
     }
-    waves
+    for arr in &spec.vertex_writes {
+        ops.push(WaveOp::write(
+            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+        ));
+    }
+    ops.push(WaveOp::compute(4));
+    ops
 }
 
 /// A deterministic per-element hash for data-dependent write
@@ -173,12 +189,22 @@ mod tests {
         (os, spec)
     }
 
+    /// Every op of every wave, in wave order.
+    fn drain(kernel: Kernel) -> Vec<Vec<WaveOp>> {
+        kernel.waves.into_iter().map(Iterator::collect).collect()
+    }
+
     #[test]
     fn one_wave_per_32_vertices() {
         let (_os, spec) = setup();
         let active: Vec<u32> = (0..100).collect();
-        let waves = gather_waves(&spec, &active, None);
+        let kernel = gather_kernel("g", Asid(0), spec.clone(), active.clone());
+        let waves = drain(kernel);
         assert_eq!(waves.len(), 4);
+        // Each wave is exactly its chunk's op list.
+        for (wave, chunk) in waves.iter().zip(active.chunks(LANES as usize)) {
+            assert_eq!(*wave, gather_wave(&spec, chunk));
+        }
     }
 
     #[test]
@@ -188,9 +214,9 @@ mod tests {
         let ranks = DevArray::alloc(&mut os, pid, spec.graph.n as u64, 8);
         spec.gather.push(ranks);
         let active: Vec<u32> = (0..32).collect();
-        let waves = gather_waves(&spec, &active, None);
+        let wave = gather_wave(&spec, &active);
         // offsets read + per-round (targets + rank gather) + computes + final.
-        let reads = waves[0]
+        let reads = wave
             .iter()
             .filter(|op| matches!(op, WaveOp::Read(_)))
             .count();
@@ -202,8 +228,8 @@ mod tests {
         let (_os, mut spec) = setup();
         spec.max_rounds = 2;
         let active: Vec<u32> = (0..32).collect();
-        let waves = gather_waves(&spec, &active, None);
-        let target_reads = waves[0]
+        let wave = gather_wave(&spec, &active);
+        let target_reads = wave
             .iter()
             .filter(|op| matches!(op, WaveOp::Read(_)))
             .count();
@@ -215,20 +241,20 @@ mod tests {
     fn target_writes_follow_predicate() {
         let (mut os, spec) = setup();
         let pid = gvc_mem::ProcessId(0);
-        let flags = DevArray::alloc(&mut os, pid, spec.graph.n as u64, 4);
+        let n = spec.graph.n as usize;
+        let flags = DevArray::alloc(&mut os, pid, n as u64, 4);
         let active: Vec<u32> = (0..64).collect();
-        let all = |_t: u32| true;
-        let none = |_t: u32| false;
-        let with_writes = gather_waves(&spec, &active, Some((&flags, &all)));
-        let without = gather_waves(&spec, &active, Some((&flags, &none)));
-        let count = |ws: &Vec<Vec<WaveOp>>| {
-            ws.iter()
+        let writes = |set: bool| {
+            let mut spec = spec.clone();
+            spec.scatter = Some((flags, vec![set; n].into()));
+            drain(gather_kernel("g", Asid(0), spec, active.clone()))
+                .iter()
                 .flatten()
                 .filter(|o| matches!(o, WaveOp::Write(_)))
                 .count()
         };
-        assert!(count(&with_writes) > 0);
-        assert_eq!(count(&without), 0);
+        assert!(writes(true) > 0);
+        assert_eq!(writes(false), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! high-translation-bandwidth group.
 
 use crate::arrays::DevArray;
-use crate::gather::{gather_waves, GatherSpec};
+use crate::gather::{gather_kernel, GatherSpec};
 use crate::graphs::Graph;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource};
@@ -58,12 +58,7 @@ impl KernelSource for BcSource {
         let mut spec = self.spec.clone();
         spec.gather = gathers;
         spec.vertex_writes = writes;
-        let waves = gather_waves(&spec, &active, None);
-        let mut b = Kernel::builder(name, self.asid);
-        for ops in waves {
-            b = b.wave(ops);
-        }
-        Some(b.build())
+        Some(gather_kernel(name, self.asid, spec, active))
     }
 }
 

@@ -15,17 +15,96 @@ use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite, VAddr};
 use std::sync::Arc;
 
-struct BfsSource {
-    asid: Asid,
+/// What every level's waves read: the graph, its device arrays and
+/// the host-computed level of each vertex. One copy, shared by every
+/// wave of every level.
+struct BfsGraph {
     graph: Arc<Graph>,
     offsets: DevArray,
     targets: DevArray,
     mask: DevArray,
     dist: DevArray,
-    levels: Vec<Vec<u32>>,
     level_of: Vec<u32>,
-    next_level: usize,
     max_rounds: u32,
+}
+
+impl BfsGraph {
+    /// The ops of the wave that sweeps vertices `chunk_base..` (up to
+    /// [`LANES`] of them) at level `depth`.
+    fn wave_ops(&self, depth: u32, chunk_base: u32) -> Vec<WaveOp> {
+        let g = &self.graph;
+        let chunk = chunk_base..(chunk_base + LANES).min(g.n);
+        // Frontier membership at this depth is exactly
+        // `level_of[v] == depth` — no set needed. At most LANES
+        // vertices per chunk, so the actives fit on the stack.
+        let mut active = [0u32; LANES as usize];
+        let mut n_active = 0usize;
+        for v in chunk.clone() {
+            if self.level_of[v as usize] == depth {
+                active[n_active] = v;
+                n_active += 1;
+            }
+        }
+        let active = &active[..n_active];
+        let rounds = active
+            .iter()
+            .map(|&v| g.degree(v))
+            .max()
+            .unwrap_or(0)
+            .min(self.max_rounds);
+        // Worst case per round: two reads, a write, and every
+        // fourth round a compute op.
+        let mut ops = Vec::with_capacity(3 + rounds as usize * 3 + rounds as usize / 4);
+        ops.push(WaveOp::read(
+            chunk.map(|v| self.mask.addr(v as u64)).collect(),
+        ));
+        if !active.is_empty() {
+            ops.push(WaveOp::read(
+                active
+                    .iter()
+                    .map(|&v| self.offsets.addr(v as u64))
+                    .collect(),
+            ));
+            for r in 0..rounds {
+                let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(active.len());
+                let mut dist_reads: Vec<VAddr> = Vec::with_capacity(active.len());
+                let mut discover_writes: Vec<VAddr> = Vec::new();
+                for &v in active {
+                    if r < g.degree(v) {
+                        let e = g.offsets[v as usize] as u64 + r as u64;
+                        let t = g.targets[e as usize];
+                        tgt_addrs.push(self.targets.addr(e));
+                        dist_reads.push(self.dist.addr(t as u64));
+                        // Newly discovered exactly when its level is
+                        // depth + 1 (host-computed ground truth).
+                        if self.level_of[t as usize] == depth + 1 {
+                            discover_writes.push(self.dist.addr(t as u64));
+                        }
+                    }
+                }
+                if tgt_addrs.is_empty() {
+                    break;
+                }
+                ops.push(WaveOp::read(tgt_addrs));
+                ops.push(WaveOp::read(dist_reads));
+                if !discover_writes.is_empty() {
+                    ops.push(WaveOp::write(discover_writes));
+                }
+                if (r + 1) % 4 == 0 {
+                    ops.push(WaveOp::compute(6));
+                }
+            }
+        }
+        ops.push(WaveOp::compute(2));
+        ops
+    }
+}
+
+struct BfsSource {
+    asid: Asid,
+    bfs: Arc<BfsGraph>,
+    levels: usize,
+    next_level: usize,
 }
 
 impl KernelSource for BfsSource {
@@ -34,78 +113,15 @@ impl KernelSource for BfsSource {
     }
 
     fn next_kernel(&mut self) -> Option<Kernel> {
-        if self.next_level >= self.levels.len() {
+        if self.next_level >= self.levels {
             return None;
         }
         let depth = self.next_level as u32;
-        let g = &self.graph;
         let mut b = Kernel::builder(format!("bfs_level{depth}"), self.asid);
         // Rodinia-style: sweep all vertices; frontier members expand.
-        for chunk_base in (0..g.n).step_by(LANES as usize) {
-            let chunk = chunk_base..(chunk_base + LANES).min(g.n);
-            // Frontier membership at this depth is exactly
-            // `level_of[v] == depth` — no set needed. At most LANES
-            // vertices per chunk, so the actives fit on the stack.
-            let mut active = [0u32; LANES as usize];
-            let mut n_active = 0usize;
-            for v in chunk.clone() {
-                if self.level_of[v as usize] == depth {
-                    active[n_active] = v;
-                    n_active += 1;
-                }
-            }
-            let active = &active[..n_active];
-            let rounds = active
-                .iter()
-                .map(|&v| g.degree(v))
-                .max()
-                .unwrap_or(0)
-                .min(self.max_rounds);
-            // Worst case per round: two reads, a write, and every
-            // fourth round a compute op.
-            let mut ops = Vec::with_capacity(3 + rounds as usize * 3 + rounds as usize / 4);
-            ops.push(WaveOp::read(
-                chunk.map(|v| self.mask.addr(v as u64)).collect(),
-            ));
-            if !active.is_empty() {
-                ops.push(WaveOp::read(
-                    active
-                        .iter()
-                        .map(|&v| self.offsets.addr(v as u64))
-                        .collect(),
-                ));
-                for r in 0..rounds {
-                    let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(active.len());
-                    let mut dist_reads: Vec<VAddr> = Vec::with_capacity(active.len());
-                    let mut discover_writes: Vec<VAddr> = Vec::new();
-                    for &v in active {
-                        if r < g.degree(v) {
-                            let e = g.offsets[v as usize] as u64 + r as u64;
-                            let t = g.targets[e as usize];
-                            tgt_addrs.push(self.targets.addr(e));
-                            dist_reads.push(self.dist.addr(t as u64));
-                            // Newly discovered exactly when its level is
-                            // depth + 1 (host-computed ground truth).
-                            if self.level_of[t as usize] == depth + 1 {
-                                discover_writes.push(self.dist.addr(t as u64));
-                            }
-                        }
-                    }
-                    if tgt_addrs.is_empty() {
-                        break;
-                    }
-                    ops.push(WaveOp::read(tgt_addrs));
-                    ops.push(WaveOp::read(dist_reads));
-                    if !discover_writes.is_empty() {
-                        ops.push(WaveOp::write(discover_writes));
-                    }
-                    if (r + 1) % 4 == 0 {
-                        ops.push(WaveOp::compute(6));
-                    }
-                }
-            }
-            ops.push(WaveOp::compute(2));
-            b = b.wave(ops);
+        for chunk_base in (0..self.bfs.graph.n).step_by(LANES as usize) {
+            let bfs = Arc::clone(&self.bfs);
+            b = b.deferred_wave(move || bfs.wave_ops(depth, chunk_base));
         }
         self.next_level += 1;
         Some(b.build())
@@ -129,15 +145,17 @@ pub fn build(scale: Scale, seed: u64, thp: bool) -> Workload {
         os,
         source: Box::new(BfsSource {
             asid: pid.asid(),
-            graph,
-            offsets,
-            targets,
-            mask,
-            dist,
-            levels,
-            level_of,
+            bfs: Arc::new(BfsGraph {
+                graph,
+                offsets,
+                targets,
+                mask,
+                dist,
+                level_of,
+                max_rounds: 16,
+            }),
+            levels: levels.len(),
             next_level: 0,
-            max_rounds: 16,
         }),
     }
 }

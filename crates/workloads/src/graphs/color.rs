@@ -8,7 +8,7 @@
 //! the real benchmark's would.
 
 use crate::arrays::DevArray;
-use crate::gather::{gather_waves, hash_u32, GatherSpec};
+use crate::gather::{gather_kernel, hash_u32, GatherSpec};
 use crate::graphs::Graph;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource};
@@ -81,12 +81,8 @@ impl KernelSource for ColorSource {
             spec.gather.push(self.prio_arr);
         }
         spec.vertex_writes = vec![self.color_arr];
-        let waves = gather_waves(&spec, &active, None);
-        let mut b = Kernel::builder(format!("{}_round{}", self.name, self.round), self.asid);
-        for ops in waves {
-            b = b.wave(ops);
-        }
-        Some(b.build())
+        let name = format!("{}_round{}", self.name, self.round);
+        Some(gather_kernel(name, self.asid, spec, active))
     }
 }
 

@@ -9,7 +9,7 @@
 //! the per-CU TLB thrashes.
 
 use crate::arrays::DevArray;
-use crate::gather::{gather_waves, GatherSpec};
+use crate::gather::{gather_kernel, GatherSpec};
 use crate::graphs::Graph;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource};
@@ -45,13 +45,9 @@ impl KernelSource for PagerankSource {
         spec.gather.insert(0, src);
         spec.vertex_writes = vec![dst];
         let active: Vec<u32> = (0..spec.graph.n).collect();
-        let waves = gather_waves(&spec, &active, None);
         self.iter += 1;
-        let mut b = Kernel::builder(format!("{}_sweep{}", self.name, self.iter), self.asid);
-        for ops in waves {
-            b = b.wave(ops);
-        }
-        Some(b.build())
+        let name = format!("{}_sweep{}", self.name, self.iter);
+        Some(gather_kernel(name, self.asid, spec, active))
     }
 }
 

@@ -11,7 +11,10 @@
 //! iteration emits a GPU kernel whose wavefronts issue the same
 //! loads/stores — the same coalescing behaviour, divergence,
 //! scratchpad staging, and data-dependent reuse — that the original
-//! kernel would issue.
+//! kernel would issue. A kernel records only each wave's inputs (its
+//! vertex ids or tile coordinate, plus shared handles to the arrays and
+//! host state); the wave builds its op list when the simulator first
+//! issues it (`gvc_gpu::KernelBuilder::deferred_wave`).
 //!
 //! Workload classes (the paper's grouping):
 //!

@@ -9,15 +9,55 @@ use crate::arrays::DevArray;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
+use std::sync::Arc;
 
 const HIDDEN: u64 = 16;
 
-struct BackpropSource {
-    asid: Asid,
+/// The network every wave reads, shared by all of them.
+struct Net {
     input: DevArray,   // n f32
     weights: DevArray, // n * HIDDEN f32
     hidden: DevArray,  // HIDDEN f32 (hot)
     n: u64,
+}
+
+impl Net {
+    /// The wave over input units `u0..u0 + 32`, in the forward or the
+    /// backward pass.
+    fn wave_ops(&self, u0: u64, backward: bool) -> Vec<WaveOp> {
+        let units: Vec<u64> = (u0..(u0 + 32).min(self.n)).collect();
+        let mut ops = vec![
+            // Input activations: coalesced.
+            WaveOp::read(units.iter().map(|&u| self.input.addr(u)).collect()),
+            // Weight rows: each lane reads its unit's 64 B row.
+            WaveOp::read(
+                units
+                    .iter()
+                    .map(|&u| self.weights.addr(u * HIDDEN))
+                    .collect(),
+            ),
+            WaveOp::compute(HIDDEN as u32 * 2),
+            // Hidden-layer accumulation (hot line).
+            WaveOp::read((0..HIDDEN / 8).map(|h| self.hidden.addr(h * 8)).collect()),
+        ];
+        if backward {
+            // Weight update writes the row back.
+            ops.push(WaveOp::write(
+                units
+                    .iter()
+                    .map(|&u| self.weights.addr(u * HIDDEN))
+                    .collect(),
+            ));
+        } else {
+            ops.push(WaveOp::write(vec![self.hidden.addr(0)]));
+        }
+        ops
+    }
+}
+
+struct BackpropSource {
+    asid: Asid,
+    net: Arc<Net>,
     phase: u32,
 }
 
@@ -38,34 +78,9 @@ impl KernelSource for BackpropSource {
             "backprop_fwd"
         };
         let mut b = Kernel::builder(name, self.asid);
-        for u0 in (0..self.n).step_by(32) {
-            let units: Vec<u64> = (u0..(u0 + 32).min(self.n)).collect();
-            let mut ops = vec![
-                // Input activations: coalesced.
-                WaveOp::read(units.iter().map(|&u| self.input.addr(u)).collect()),
-                // Weight rows: each lane reads its unit's 64 B row.
-                WaveOp::read(
-                    units
-                        .iter()
-                        .map(|&u| self.weights.addr(u * HIDDEN))
-                        .collect(),
-                ),
-                WaveOp::compute(HIDDEN as u32 * 2),
-                // Hidden-layer accumulation (hot line).
-                WaveOp::read((0..HIDDEN / 8).map(|h| self.hidden.addr(h * 8)).collect()),
-            ];
-            if backward {
-                // Weight update writes the row back.
-                ops.push(WaveOp::write(
-                    units
-                        .iter()
-                        .map(|&u| self.weights.addr(u * HIDDEN))
-                        .collect(),
-                ));
-            } else {
-                ops.push(WaveOp::write(vec![self.hidden.addr(0)]));
-            }
-            b = b.wave(ops);
+        for u0 in (0..self.net.n).step_by(32) {
+            let net = Arc::clone(&self.net);
+            b = b.deferred_wave(move || net.wave_ops(u0, backward));
         }
         Some(b.build())
     }
@@ -84,10 +99,12 @@ pub fn build(scale: Scale, _seed: u64, thp: bool) -> Workload {
         os,
         source: Box::new(BackpropSource {
             asid: pid.asid(),
-            input,
-            weights,
-            hidden,
-            n,
+            net: Arc::new(Net {
+                input,
+                weights,
+                hidden,
+                n,
+            }),
             phase: 0,
         }),
     }

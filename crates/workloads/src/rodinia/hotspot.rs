@@ -8,24 +8,45 @@ use crate::arrays::DevArray;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite, VAddr};
+use std::sync::Arc;
 
 const ITERATIONS: u64 = 3;
 
-struct HotspotSource {
-    asid: Asid,
-    temp_a: DevArray,
-    temp_b: DevArray,
+/// The grid every wave reads, shared by all of them: two ping-pong
+/// temperature arrays and the power map, `dim` × `dim` each.
+struct Grid {
+    temp: [DevArray; 2],
     power: DevArray,
     dim: u64,
-    iter: u64,
 }
 
-impl HotspotSource {
+impl Grid {
     fn row(&self, arr: &DevArray, r: u64, c0: u64) -> Vec<VAddr> {
         (c0..(c0 + 32).min(self.dim))
             .map(|c| arr.addr(r * self.dim + c))
             .collect()
     }
+
+    /// The stencil wave at row `r`, columns `c0..c0 + 32`: reads
+    /// `temp[src]` and the power map, writes the other temperature
+    /// array.
+    fn wave_ops(&self, src: usize, r: u64, c0: u64) -> Vec<WaveOp> {
+        let (from, to) = (&self.temp[src], &self.temp[1 - src]);
+        vec![
+            WaveOp::read(self.row(from, r - 1, c0)),
+            WaveOp::read(self.row(from, r, c0)),
+            WaveOp::read(self.row(from, r + 1, c0)),
+            WaveOp::read(self.row(&self.power, r, c0)),
+            WaveOp::compute(24),
+            WaveOp::write(self.row(to, r, c0)),
+        ]
+    }
+}
+
+struct HotspotSource {
+    asid: Asid,
+    grid: Arc<Grid>,
+    iter: u64,
 }
 
 impl KernelSource for HotspotSource {
@@ -37,23 +58,15 @@ impl KernelSource for HotspotSource {
         if self.iter >= ITERATIONS {
             return None;
         }
-        let (src, dst) = if self.iter.is_multiple_of(2) {
-            (self.temp_a, self.temp_b)
-        } else {
-            (self.temp_b, self.temp_a)
-        };
+        // Ping-pong the temperature arrays between iterations.
+        let src = (self.iter % 2) as usize;
         self.iter += 1;
+        let dim = self.grid.dim;
         let mut b = Kernel::builder(format!("hotspot_iter{}", self.iter), self.asid);
-        for r in 1..self.dim - 1 {
-            for c0 in (0..self.dim).step_by(32) {
-                b = b.wave(vec![
-                    WaveOp::read(self.row(&src, r - 1, c0)),
-                    WaveOp::read(self.row(&src, r, c0)),
-                    WaveOp::read(self.row(&src, r + 1, c0)),
-                    WaveOp::read(self.row(&self.power, r, c0)),
-                    WaveOp::compute(24),
-                    WaveOp::write(self.row(&dst, r, c0)),
-                ]);
+        for r in 1..dim - 1 {
+            for c0 in (0..dim).step_by(32) {
+                let grid = Arc::clone(&self.grid);
+                b = b.deferred_wave(move || grid.wave_ops(src, r, c0));
             }
         }
         Some(b.build())
@@ -73,10 +86,11 @@ pub fn build(scale: Scale, _seed: u64, thp: bool) -> Workload {
         os,
         source: Box::new(HotspotSource {
             asid: pid.asid(),
-            temp_a,
-            temp_b,
-            power,
-            dim,
+            grid: Arc::new(Grid {
+                temp: [temp_a, temp_b],
+                power,
+                dim,
+            }),
             iter: 0,
         }),
     }

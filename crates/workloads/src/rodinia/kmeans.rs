@@ -10,17 +10,48 @@ use crate::arrays::DevArray;
 use crate::{Scale, Workload};
 use gvc_gpu::kernel::{Kernel, KernelSource, WaveOp};
 use gvc_mem::{Asid, OsLite};
+use std::sync::Arc;
 
 const FEATURES: u64 = 16; // f32 features per point (64 B)
 const CENTROIDS: u64 = 16;
 const ITERATIONS: u64 = 3;
 
-struct KmeansSource {
-    asid: Asid,
+/// The arrays every wave reads, shared by all of them.
+struct Data {
     points: DevArray,     // n * FEATURES f32
     centroids: DevArray,  // CENTROIDS * FEATURES f32
     assignment: DevArray, // n u32
     n: u64,
+}
+
+impl Data {
+    /// The wave that assigns points `p0..p0 + 32`.
+    fn wave_ops(&self, p0: u64) -> Vec<WaveOp> {
+        let pts: Vec<u64> = (p0..(p0 + 32).min(self.n)).collect();
+        vec![
+            // Each lane streams its point's 64 B feature block.
+            WaveOp::read(
+                pts.iter()
+                    .map(|&p| self.points.addr(p * FEATURES))
+                    .collect(),
+            ),
+            // Hot centroid table (fits in the L1).
+            WaveOp::read(
+                (0..CENTROIDS)
+                    .map(|c| self.centroids.addr(c * FEATURES))
+                    .collect(),
+            ),
+            // Distance evaluation: d x k MACs per point, lanes in
+            // parallel across points.
+            WaveOp::compute((CENTROIDS * FEATURES) as u32),
+            WaveOp::write(pts.iter().map(|&p| self.assignment.addr(p)).collect()),
+        ]
+    }
+}
+
+struct KmeansSource {
+    asid: Asid,
+    data: Arc<Data>,
     iter: u64,
 }
 
@@ -35,27 +66,9 @@ impl KernelSource for KmeansSource {
         }
         self.iter += 1;
         let mut b = Kernel::builder(format!("kmeans_iter{}", self.iter), self.asid);
-        for p0 in (0..self.n).step_by(32) {
-            let pts: Vec<u64> = (p0..(p0 + 32).min(self.n)).collect();
-            let ops = vec![
-                // Each lane streams its point's 64 B feature block.
-                WaveOp::read(
-                    pts.iter()
-                        .map(|&p| self.points.addr(p * FEATURES))
-                        .collect(),
-                ),
-                // Hot centroid table (fits in the L1).
-                WaveOp::read(
-                    (0..CENTROIDS)
-                        .map(|c| self.centroids.addr(c * FEATURES))
-                        .collect(),
-                ),
-                // Distance evaluation: d x k MACs per point, lanes in
-                // parallel across points.
-                WaveOp::compute((CENTROIDS * FEATURES) as u32),
-                WaveOp::write(pts.iter().map(|&p| self.assignment.addr(p)).collect()),
-            ];
-            b = b.wave(ops);
+        for p0 in (0..self.data.n).step_by(32) {
+            let data = Arc::clone(&self.data);
+            b = b.deferred_wave(move || data.wave_ops(p0));
         }
         Some(b.build())
     }
@@ -74,10 +87,12 @@ pub fn build(scale: Scale, _seed: u64, thp: bool) -> Workload {
         os,
         source: Box::new(KmeansSource {
             asid: pid.asid(),
-            points,
-            centroids,
-            assignment,
-            n,
+            data: Arc::new(Data {
+                points,
+                centroids,
+                assignment,
+                n,
+            }),
             iter: 0,
         }),
     }

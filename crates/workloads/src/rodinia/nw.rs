@@ -15,6 +15,7 @@ use gvc_mem::{Asid, OsLite, VAddr};
 
 const TILE: u64 = 16;
 
+#[derive(Clone, Copy)]
 struct NwSource {
     asid: Asid,
     score: DevArray,
@@ -65,7 +66,10 @@ impl KernelSource for NwSource {
         let mut b = Kernel::builder(format!("nw_diag{d}"), self.asid);
         for tr in 0..tiles {
             if d >= tr && d - tr < tiles {
-                b = b.wave(self.tile_ops(tr, d - tr));
+                // The wave copies the source: two array handles, a
+                // size and a counter it does not read.
+                let nw = *self;
+                b = b.deferred_wave(move || nw.tile_ops(tr, d - tr));
             }
         }
         Some(b.build())
