@@ -113,6 +113,8 @@ done
 # copy whose vc checkpoint is cut at half its length, or whose first
 # "epoch" key is renamed, exits 1 and names the malformed checkpoint and
 # the `$` path of the fault, and the real state directory is untouched.
+# Every checkpoint is checked before any cell runs, so the copy's
+# baseline checkpoint is still the one the drill wrote.
 state_sum=$(cat "$soak_dir"/state/* | cksum)
 for fault in truncated renamed; do
     bad="$soak_dir/$fault"
@@ -133,6 +135,7 @@ for fault in truncated renamed; do
         cat "$bad/stderr" >&2
         exit 1
     fi
+    cmp "$soak_dir/state/soak_baseline.ckpt.json" "$bad/soak_baseline.ckpt.json"
 done
 if [ "$(cat "$soak_dir"/state/* | cksum)" != "$state_sum" ]; then
     echo "resuming a corrupt copy changed the real state directory" >&2

@@ -208,6 +208,15 @@ fn run_tenants(opts: &CliOptions, jobs: usize) {
     }
 }
 
+/// Deletes the checkpoints of the soak cells that reached their
+/// horizon, once their report is written; exits 1 if one cannot go.
+fn remove_finished_checkpoints(run: &soak::SoakRun) {
+    if let Err(e) = run.remove_finished_checkpoints() {
+        eprintln!("repro: soak: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Runs the long-horizon soak (`repro soak`): one supervised,
 /// checkpointed [`gvc_gpu::SoakSim`] per design. Emits the figure
 /// like the others unless the `--kill-after` crash drill stopped the
@@ -277,9 +286,10 @@ fn run_soak(opts: &CliOptions, jobs: usize) {
         soak::SoakOutcome::Truncated => {
             emit(
                 "soak",
-                &run.figure.expect("truncated runs carry a figure"),
+                run.figure.as_ref().expect("truncated runs carry a figure"),
                 &opts.json_dir,
             );
+            remove_finished_checkpoints(&run);
             eprintln!(
                 "[soak truncated by signal after {:.1?}; final checkpoint written, \
                  rerun to resume]",
@@ -290,9 +300,10 @@ fn run_soak(opts: &CliOptions, jobs: usize) {
         soak::SoakOutcome::Completed => {
             emit(
                 "soak",
-                &run.figure.expect("completed runs carry a figure"),
+                run.figure.as_ref().expect("completed runs carry a figure"),
                 &opts.json_dir,
             );
+            remove_finished_checkpoints(&run);
             eprintln!("[soak took {:.1?}]", t0.elapsed());
         }
     }

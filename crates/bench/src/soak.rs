@@ -18,6 +18,9 @@
 //!
 //! 1. Load `soak_<design>.ckpt.json` from `--state DIR` if present
 //!    (schema version and config validated), else start at cycle 0.
+//!    Every design's checkpoint is loaded and checked before any cell
+//!    runs, so one bad file stops the run before it costs another
+//!    design its progress.
 //! 2. Run one epoch inside `catch_unwind`, under an optional per-epoch
 //!    wall-clock watchdog (`--epoch-wall-ms`).
 //! 3. On a panic or a watchdog overrun: restore the last good
@@ -30,6 +33,9 @@
 //! 5. Poll the [`crate::signals`] latch at every boundary: a
 //!    SIGINT/SIGTERM writes a final checkpoint plus a partial report
 //!    flagged `truncated`.
+//! 6. A cell that reaches its horizon keeps its checkpoint until the
+//!    caller has written the report and calls
+//!    [`SoakRun::remove_finished_checkpoints`].
 //!
 //! Cells are computed on the same worker pool as the figures and the
 //! tenants sweep ([`par_map_ordered`]) and assembled in design order.
@@ -185,6 +191,27 @@ pub struct SoakRun {
     /// Epochs re-run after a crash or hang across all cells (recovery
     /// telemetry; never part of the figure).
     pub recoveries: u32,
+    /// Checkpoints of the cells that reached their horizon, left on disk
+    /// until the report is written.
+    pub finished: Vec<String>,
+}
+
+impl SoakRun {
+    /// Deletes the finished cells' checkpoints. Call it once the report
+    /// is written: a finished cell must not leave a resume point, or a
+    /// later fresh run would silently skip to the horizon, but until the
+    /// report exists that checkpoint is the cell's only record.
+    pub fn remove_finished_checkpoints(&self) -> Result<(), String> {
+        for path in &self.finished {
+            match std::fs::remove_file(path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!("{path}: {e}"))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The checkpoint file for one design cell.
@@ -243,6 +270,23 @@ fn sys_for(spec: &SoakSpec, design: &str) -> SystemConfig {
     sys
 }
 
+/// Loads `design`'s checkpoint from the state directory, if there is
+/// one, and checks that it was taken with this run's configuration.
+fn load_resume_point(spec: &SoakSpec, design: &str) -> Result<Option<SoakCheckpoint>, String> {
+    let Some(dir) = &spec.state_dir else {
+        return Ok(None);
+    };
+    let path = checkpoint_path(dir, design);
+    let ckpt = load_checkpoint(&path)?;
+    if ckpt.as_ref().is_some_and(|c| c.cfg != spec.cfg) {
+        return Err(format!(
+            "{path}: checkpoint was taken with a different soak configuration; \
+             resume with the original flags or remove the state file"
+        ));
+    }
+    Ok(ckpt)
+}
+
 /// One cell's supervision outcome.
 struct CellResult {
     /// `None` when the crash drill stopped the cell before its horizon.
@@ -260,16 +304,8 @@ fn run_cell(spec: &SoakSpec, design: &str) -> Result<CellResult, String> {
         .as_deref()
         .map(|dir| checkpoint_path(dir, design));
     let mut sim = SoakSim::new(&cfg, sys_for(spec, design));
-    let mut last: SoakCheckpoint = match path.as_deref().map(load_checkpoint).transpose()?.flatten()
-    {
+    let mut last: SoakCheckpoint = match load_resume_point(spec, design)? {
         Some(ckpt) => {
-            if ckpt.cfg != cfg {
-                return Err(format!(
-                    "{}: checkpoint was taken with a different soak configuration; \
-                     resume with the original flags or remove the state file",
-                    path.as_deref().unwrap_or(design),
-                ));
-            }
             eprintln!(
                 "soak[{design}]: resuming from epoch-{} checkpoint",
                 ckpt.epoch
@@ -286,11 +322,8 @@ fn run_cell(spec: &SoakSpec, design: &str) -> Result<CellResult, String> {
     let mut fault_kills_left = spec.fault.map_or(0, |f| f.kills);
     loop {
         if sim.done() {
-            if let Some(p) = &path {
-                // A finished cell must not leave a resume point: a
-                // later fresh run would silently skip to the horizon.
-                let _ = std::fs::remove_file(p);
-            }
+            // The horizon checkpoint stays until the report is written
+            // (`SoakRun::remove_finished_checkpoints`).
             return Ok(CellResult {
                 report: Some(sim.finish()),
                 recoveries,
@@ -389,9 +422,9 @@ fn run_cell(spec: &SoakSpec, design: &str) -> Result<CellResult, String> {
         }
 
         // The epoch closed cleanly: advance the in-memory recovery
-        // point, and persist it at the cadence (and at the horizon,
-        // which the `done()` arm deletes again after `finish` — kept
-        // so a crash *inside* `finish` still resumes).
+        // point, and persist it at the cadence (and at the horizon, so
+        // a crash inside `finish` or before the report is written
+        // still resumes).
         last = sim.snapshot();
         if let Some(p) = &path {
             if next.is_multiple_of(spec.checkpoint_every) || sim.done() {
@@ -418,13 +451,23 @@ pub fn collect(spec: &SoakSpec) -> Result<SoakRun, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     }
 
+    // Every resume point is loaded and checked before any cell runs: a
+    // bad checkpoint for one design must fail the run before another
+    // design's cell can reach its horizon. A checkpoint cannot cross
+    // threads (the memory system may hold a trace handle), so each
+    // cell decodes its own again on its worker; one at a time here
+    // keeps a single decoded checkpoint resident.
+    for design in &spec.designs {
+        load_resume_point(spec, design)?;
+    }
     let results = par_map_ordered(spec.jobs, &spec.designs, |design| run_cell(spec, design));
 
     let mut cells = Vec::new();
+    let mut finished = Vec::new();
     let mut recoveries = 0u32;
     let mut truncated = false;
     let mut killed_at = None;
-    for cell in results {
+    for (cell, design) in results.into_iter().zip(&spec.designs) {
         let cell = cell?;
         recoveries += cell.recoveries;
         truncated |= cell.truncated;
@@ -432,6 +475,9 @@ pub fn collect(spec: &SoakSpec) -> Result<SoakRun, String> {
             killed_at = Some(e);
         }
         if let Some(report) = cell.report {
+            if let (false, Some(dir)) = (cell.truncated, &spec.state_dir) {
+                finished.push(checkpoint_path(dir, design));
+            }
             cells.push(report);
         }
     }
@@ -440,6 +486,7 @@ pub fn collect(spec: &SoakSpec) -> Result<SoakRun, String> {
             figure: None,
             outcome: SoakOutcome::Killed { at_epoch },
             recoveries,
+            finished: Vec::new(),
         });
     }
     let outcome = if truncated {
@@ -457,6 +504,7 @@ pub fn collect(spec: &SoakSpec) -> Result<SoakRun, String> {
         }),
         outcome,
         recoveries,
+        finished,
     })
 }
 
@@ -696,11 +744,72 @@ mod tests {
                 resumed.figure, clean.figure,
                 "kill-and-resume at cadence {cadence} must be byte-identical"
             );
+            let ckpt = checkpoint_path(&dir, "vc");
+            assert_eq!(resumed.finished, std::slice::from_ref(&ckpt));
             assert!(
-                !std::path::Path::new(&checkpoint_path(&dir, "vc")).exists(),
+                std::path::Path::new(&ckpt).exists(),
+                "the resume point stays until the report is written"
+            );
+            resumed.remove_finished_checkpoints().unwrap();
+            assert!(
+                !std::path::Path::new(&ckpt).exists(),
                 "a completed cell must clean up its resume point"
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_bad_checkpoint_fails_the_run_before_any_cell_runs() {
+        let dir = std::env::temp_dir().join(format!("gvc_soak_bad_{}", std::process::id()));
+        let dir = dir.to_str().expect("utf-8 temp dir").to_string();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut drill = tiny_spec(Some(dir.clone()));
+        drill.designs = vec!["baseline".into(), "vc".into()];
+        drill.kill_after = Some(2);
+        let killed = collect(&drill).expect("crash drill");
+        assert_eq!(killed.outcome, SoakOutcome::Killed { at_epoch: 2 });
+        assert!(killed.finished.is_empty());
+        let resume = SoakSpec {
+            kill_after: None,
+            ..drill
+        };
+        let baseline = checkpoint_path(&dir, "baseline");
+        let baseline_bytes = std::fs::read(&baseline).unwrap();
+        let unchanged = || std::fs::read(&baseline).unwrap() == baseline_bytes;
+
+        // A truncated vc checkpoint fails the run by name, and the
+        // baseline cell, first in order, never runs: its resume point
+        // is still the epoch-2 checkpoint.
+        let vc = checkpoint_path(&dir, "vc");
+        let vc_bytes = std::fs::read(&vc).unwrap();
+        std::fs::write(&vc, &vc_bytes[..vc_bytes.len() / 2]).unwrap();
+        let err = collect(&resume).expect_err("truncated checkpoint");
+        assert!(
+            err.contains(&vc) && err.contains("malformed checkpoint"),
+            "{err}"
+        );
+        assert!(
+            unchanged(),
+            "a bad vc checkpoint cost baseline its progress"
+        );
+
+        // A checkpoint from another configuration is refused the same way.
+        std::fs::write(&vc, &vc_bytes).unwrap();
+        let mut reseeded = resume.clone();
+        reseeded.cfg.seed += 1;
+        let err = collect(&reseeded).expect_err("other configuration");
+        assert!(err.contains("different soak configuration"), "{err}");
+        assert!(unchanged());
+
+        // With the good file back, both cells resume and finish, and
+        // their checkpoints stay until the report is written.
+        let run = collect(&resume).expect("resume");
+        assert_eq!(run.outcome, SoakOutcome::Completed);
+        assert_eq!(run.finished, [baseline.clone(), vc.clone()]);
+        run.remove_finished_checkpoints().unwrap();
+        assert!(!std::path::Path::new(&baseline).exists());
+        assert!(!std::path::Path::new(&vc).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
