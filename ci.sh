@@ -197,6 +197,16 @@ if grep -rE 'NaN|Infinity' "$all_dir/A"; then
     exit 1
 fi
 
+echo "== committed results match a fresh paper-scale run (release)"
+# results/*.json and repro_all.txt are `repro all` at the default
+# paper scale and seed (stdout only; the per-figure timings go to
+# stderr). A change that moves any figure shows here, in the change
+# that causes it, which must then regenerate both on purpose.
+results_dir="$work/results"
+./target/release/repro all --jobs 2 --json "$results_dir/json" > "$results_dir.txt"
+diff -r results "$results_dir/json"
+cmp repro_all.txt "$results_dir.txt"
+
 echo "== benchmark package build + tests (release)"
 # benchmark/ is its own cargo workspace with path dependencies on
 # crates/*, so nothing above compiles it: an API change that breaks
