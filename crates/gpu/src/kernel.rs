@@ -9,10 +9,11 @@
 //!
 //! A workload's wave owns only its inputs: a few vertex ids or a tile
 //! coordinate, plus shared handles to the arrays and host state it
-//! reads. [`KernelBuilder::deferred_wave`] runs the wave's builder on
-//! its first `next()`, when the simulator first issues the wave, and
-//! the ops are dropped when the wave retires. So a kernel's op lists
-//! exist only for its resident waves, never for the whole kernel.
+//! reads. [`KernelBuilder::stepped_wave`] builds the wave one step at a
+//! time: a step appends the next group of ops (a graph wave's head, one
+//! edge round, or its tail; a short wave's whole list) when the
+//! simulator has drained the previous one. So a kernel's ops exist only
+//! for its resident waves, one step each, never for the whole kernel.
 
 use gvc_mem::{Asid, VAddr};
 
@@ -66,23 +67,30 @@ impl WaveOp {
 
 /// A wavefront's instruction stream. The simulator polls it once per
 /// issued op and drops it when it ends; a program from
-/// [`KernelBuilder::deferred_wave`] builds its ops on the first poll.
+/// [`KernelBuilder::stepped_wave`] holds one step's ops at a time.
 pub type WaveProgram = Box<dyn Iterator<Item = WaveOp> + Send>;
 
-/// A wave whose op list is built on its first `next()`.
-struct DeferredWave<F> {
-    build: Option<F>,
-    ops: std::vec::IntoIter<WaveOp>,
+/// A wave built one step at a time: `step` appends the next group of
+/// ops whenever the buffer is empty and returns whether more follow.
+struct SteppedWave<F> {
+    /// `None` once a step has returned `false`.
+    step: Option<F>,
+    /// The current step's unissued ops, last op first.
+    ops: Vec<WaveOp>,
 }
 
-impl<F: FnOnce() -> Vec<WaveOp>> Iterator for DeferredWave<F> {
+impl<F: FnMut(&mut Vec<WaveOp>) -> bool> Iterator for SteppedWave<F> {
     type Item = WaveOp;
 
     fn next(&mut self) -> Option<WaveOp> {
-        if let Some(build) = self.build.take() {
-            self.ops = build().into_iter();
+        while self.ops.is_empty() {
+            let step = self.step.as_mut()?;
+            if !step(&mut self.ops) {
+                self.step = None;
+            }
+            self.ops.reverse();
         }
-        self.ops.next()
+        self.ops.pop()
     }
 }
 
@@ -137,21 +145,23 @@ impl KernelBuilder {
         self
     }
 
-    /// Adds a wavefront whose op list `build` makes on the wave's first
-    /// `next()`. A wave that is never polled never runs `build`. The
-    /// closure owns what it reads (`'static`), so it must capture the
-    /// wave's inputs by value or through shared handles, never a
-    /// borrow of its [`KernelSource`].
-    pub fn deferred_wave(self, build: impl FnOnce() -> Vec<WaveOp> + Send + 'static) -> Self {
-        self.lazy_wave(Box::new(DeferredWave {
-            build: Some(build),
-            ops: Vec::new().into_iter(),
-        }))
-    }
-
-    /// Adds a wavefront with a lazy program.
-    pub fn lazy_wave(mut self, program: WaveProgram) -> Self {
-        self.kernel.waves.push(program);
+    /// Adds a wavefront that `step` builds one group of ops at a time.
+    /// `step` appends the next group to the (empty) buffer it is given
+    /// and returns whether more groups follow; it runs first on the
+    /// wave's first `next()`, then each time the simulator has drained
+    /// the previous group, and never again once it returns `false`. A
+    /// wave that is never polled never runs `step`. The closure owns
+    /// what it reads (`'static`), so it must capture the wave's inputs
+    /// by value or through shared handles, never a borrow of its
+    /// [`KernelSource`].
+    pub fn stepped_wave(
+        mut self,
+        step: impl FnMut(&mut Vec<WaveOp>) -> bool + Send + 'static,
+    ) -> Self {
+        self.kernel.waves.push(Box::new(SteppedWave {
+            step: Some(step),
+            ops: Vec::new(),
+        }));
         self
     }
 
@@ -222,7 +232,10 @@ mod tests {
         let k = Kernel::builder("k", Asid(0))
             .wave(vec![WaveOp::compute(1)])
             .wave(vec![WaveOp::scratch(4), WaveOp::compute(2)])
-            .lazy_wave(Box::new(std::iter::once(WaveOp::compute(3))))
+            .stepped_wave(|ops| {
+                ops.push(WaveOp::compute(3));
+                false
+            })
             .build();
         assert_eq!(k.waves.len(), 3);
         assert_eq!(k.name, "k");
@@ -230,26 +243,40 @@ mod tests {
     }
 
     #[test]
-    fn deferred_wave_builds_once_on_first_poll() {
+    fn stepped_wave_builds_each_step_on_demand() {
         use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
         let runs = Arc::new(AtomicU32::new(0));
-        let counted = |ops: Vec<WaveOp>| {
+        // A wave whose steps are `groups`, one per call. Every call
+        // checks that the buffer was drained and that no call follows
+        // the last group.
+        let stepped = |groups: Vec<Vec<WaveOp>>| {
             let runs = Arc::clone(&runs);
-            move || {
+            let mut groups = groups.into_iter();
+            let mut done = false;
+            move |ops: &mut Vec<WaveOp>| {
+                assert!(!done, "a step after the last one");
+                assert!(ops.is_empty(), "a step with ops still buffered");
                 runs.fetch_add(1, Ordering::Relaxed);
-                ops
+                ops.extend(groups.next().unwrap());
+                done = groups.len() == 0;
+                !done
             }
         };
-        let ops = vec![
+        let ops = [
             WaveOp::read(vec![VAddr::new(0x40), VAddr::new(0x1000)]),
             WaveOp::scratch(3),
             WaveOp::write(vec![VAddr::new(0x80)]),
             WaveOp::compute(7),
         ];
         let k = Kernel::builder("k", Asid(0))
-            .deferred_wave(counted(ops.clone()))
-            .deferred_wave(counted(vec![WaveOp::compute(1)]))
+            .stepped_wave(stepped(vec![
+                ops[..2].to_vec(),
+                Vec::new(),
+                ops[2..3].to_vec(),
+                ops[3..].to_vec(),
+            ]))
+            .stepped_wave(stepped(vec![vec![WaveOp::compute(1)]]))
             .build();
         assert_eq!(
             runs.load(Ordering::Relaxed),
@@ -262,19 +289,32 @@ mod tests {
         assert_eq!(
             runs.load(Ordering::Relaxed),
             1,
-            "the first poll builds the wave"
+            "the first poll builds the first step only"
         );
-        let rest: Vec<WaveOp> = first.by_ref().collect();
-        assert_eq!(rest, ops[1..], "the wave yields the builder's ops in order");
-        assert_eq!(first.next(), None);
+        assert_eq!(first.next(), Some(ops[1].clone()));
         assert_eq!(
             runs.load(Ordering::Relaxed),
             1,
-            "the builder runs exactly once"
+            "no step runs while ops are buffered"
         );
-        // The second wave is dropped without a poll: its builder never runs.
+        let rest: Vec<WaveOp> = first.by_ref().collect();
+        assert_eq!(rest, ops[2..], "the wave yields the steps' ops in order");
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            4,
+            "an empty step is followed by the next one"
+        );
+        assert_eq!(first.next(), None);
+        assert_eq!(first.next(), None);
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            4,
+            "no step runs after the last one"
+        );
+        // The second wave is dropped without a poll: its step never runs.
         drop(waves);
-        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!(runs.load(Ordering::Relaxed), 4);
+        drop(first);
         assert_eq!(
             Arc::strong_count(&runs),
             1,

@@ -27,10 +27,9 @@ struct FwSource {
     blocked: bool,
 }
 
-/// The ops of the wave that updates the tile at `(tile_r, tile_c)`
-/// for pivot `k`.
-fn tile_ops(dist: Matrix, blocked: bool, k: u64, tile_r: u64, tile_c: u64) -> Vec<WaveOp> {
-    let mut ops = Vec::with_capacity(6);
+/// Appends the ops of the wave that updates the tile at
+/// `(tile_r, tile_c)` for pivot `k`.
+fn tile_ops(ops: &mut Vec<WaveOp>, dist: Matrix, blocked: bool, k: u64, tile_r: u64, tile_c: u64) {
     // Own tile: strided row gather (32 rows).
     ops.push(dist.col_read(tile_r, tile_c));
     // Pivot column block dist[i][k] (strided, reused per row).
@@ -46,7 +45,6 @@ fn tile_ops(dist: Matrix, blocked: bool, k: u64, tile_r: u64, tile_c: u64) -> Ve
     }
     // Write back (strided, like the read).
     ops.push(dist.col_write(tile_r, tile_c));
-    ops
 }
 
 impl KernelSource for FwSource {
@@ -65,7 +63,10 @@ impl KernelSource for FwSource {
         let mut b = Kernel::builder(format!("{}_pivot{k}", self.name), self.asid);
         for tile_r in (0..dist.n).step_by(32) {
             for tile_c in (0..dist.n).step_by(32) {
-                b = b.deferred_wave(move || tile_ops(dist, blocked, k, tile_r, tile_c));
+                b = b.stepped_wave(move |ops| {
+                    tile_ops(ops, dist, blocked, k, tile_r, tile_c);
+                    false
+                });
             }
         }
         Some(b.build())

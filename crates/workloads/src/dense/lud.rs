@@ -40,35 +40,38 @@ impl KernelSource for LudSource {
         let mut b = Kernel::builder(format!("lud_step{}", self.next_step), self.asid);
         // Perimeter: pivot row (coalesced) and pivot column (strided).
         for col0 in (k..n).step_by(32) {
-            b = b.deferred_wave(move || {
-                vec![
+            b = b.stepped_wave(move |ops| {
+                ops.extend([
                     m.row_read(k, col0),
                     WaveOp::compute(8),
                     m.row_write(k, col0),
-                ]
+                ]);
+                false
             });
         }
         for row0 in (k..n).step_by(32) {
-            b = b.deferred_wave(move || {
-                vec![
+            b = b.stepped_wave(move |ops| {
+                ops.extend([
                     m.col_read(row0, k),
                     WaveOp::compute(8),
                     m.col_write(row0, k),
-                ]
+                ]);
+                false
             });
         }
         // Trailing submatrix tiles: own block (strided) + pivot row
         // (coalesced) + pivot column (strided).
         for tile_r in ((k + 32)..n).step_by(32) {
             for tile_c in ((k + 32)..n).step_by(32) {
-                b = b.deferred_wave(move || {
-                    vec![
+                b = b.stepped_wave(move |ops| {
+                    ops.extend([
                         m.col_read(tile_r, tile_c),
                         m.row_read(k, tile_c),
                         m.col_read(tile_r, k),
                         WaveOp::compute(16),
                         m.col_write(tile_r, tile_c),
-                    ]
+                    ]);
+                    false
                 });
             }
         }

@@ -66,8 +66,8 @@ impl GatherSpec {
 }
 
 /// One gather kernel over the `active` vertices, 32 per wave. The
-/// waves share `spec` and `active`; each builds its own op list with
-/// [`gather_wave`] when the simulator first issues it.
+/// waves share `spec` and `active`; each is a [`GatherWave`] that the
+/// simulator steps through as it issues the wave's ops.
 pub fn gather_kernel(
     name: impl Into<String>,
     asid: Asid,
@@ -77,71 +77,128 @@ pub fn gather_kernel(
     let shared = Arc::new((spec, active));
     let mut b = Kernel::builder(name, asid);
     for start in (0..shared.1.len()).step_by(LANES as usize) {
-        let shared = Arc::clone(&shared);
-        b = b.deferred_wave(move || {
-            let (spec, active) = &*shared;
-            let end = (start + LANES as usize).min(active.len());
-            gather_wave(spec, &active[start..end])
-        });
+        let mut wave = GatherWave::new(Arc::clone(&shared), start);
+        b = b.stepped_wave(move |ops| wave.step(ops));
     }
     b.build()
 }
 
-/// The op list of one gather wave over `chunk`, its (at most 32)
-/// active vertices.
-pub fn gather_wave(spec: &GatherSpec, chunk: &[u32]) -> Vec<WaveOp> {
-    let g = &spec.graph;
-    // Worst case per round: the targets read, every edge stream and
-    // gather array, a scatter write, and a periodic compute op.
-    let ops_per_round = 2 + spec.edge_streams.len() + spec.gather.len() + 1;
-    let rounds_cap = chunk
-        .iter()
-        .map(|&v| g.degree(v))
-        .max()
-        .unwrap_or(0)
-        .min(spec.max_rounds) as usize;
-    let mut ops: Vec<WaveOp> = Vec::with_capacity(
-        spec.vertex_reads.len() + spec.vertex_writes.len() + 2 + rounds_cap * ops_per_round,
-    );
-    // Per-vertex metadata reads.
-    for arr in &spec.vertex_reads {
-        ops.push(WaveOp::read(
-            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-        ));
-    }
-    // CSR offsets (two loads in real code: off[v] and off[v+1];
-    // they share lines, one read models both).
-    ops.push(WaveOp::read(
-        chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
-    ));
+/// Where a [`GatherWave`] is in its op list.
+#[derive(Clone, Copy)]
+enum Step {
+    /// The per-vertex metadata and CSR offsets reads.
+    Head,
+    /// Edge round `r`.
+    Round(u32),
+    /// The per-vertex writes and the final compute op.
+    Tail,
+}
 
-    let rounds = rounds_cap as u32;
-    for r in 0..rounds {
-        let mut tgt_addrs: Vec<VAddr> = Vec::with_capacity(chunk.len());
-        let mut edge_idx: Vec<u64> = Vec::with_capacity(chunk.len());
-        let mut neighbors: Vec<u32> = Vec::with_capacity(chunk.len());
+/// One gather wave over the (at most 32) active vertices
+/// `active[start..]`, built one step at a time: the head reads, then
+/// one step per edge round, then the tail.
+struct GatherWave {
+    shared: Arc<(GatherSpec, Vec<u32>)>,
+    start: usize,
+    next: Step,
+    /// Edge rounds: the chunk's largest degree, capped at
+    /// [`GatherSpec::max_rounds`]. Set by the head step.
+    rounds: u32,
+    /// This round's edge numbers and neighbor ids, one per lane whose
+    /// vertex has an `r`-th edge. Reused across rounds.
+    edges: Vec<u64>,
+    neighbors: Vec<u32>,
+}
+
+impl GatherWave {
+    /// The wave over the chunk of `shared.1` that starts at `start`.
+    fn new(shared: Arc<(GatherSpec, Vec<u32>)>, start: usize) -> Self {
+        GatherWave {
+            shared,
+            start,
+            next: Step::Head,
+            rounds: 0,
+            edges: Vec::new(),
+            neighbors: Vec::new(),
+        }
+    }
+
+    /// Appends the wave's next step to `ops`; returns whether more
+    /// steps follow.
+    fn step(&mut self, ops: &mut Vec<WaveOp>) -> bool {
+        let (spec, active) = &*self.shared;
+        let end = (self.start + LANES as usize).min(active.len());
+        let chunk = &active[self.start..end];
+        let g = &spec.graph;
+        let round = match self.next {
+            Step::Head => {
+                // Per-vertex metadata reads.
+                for arr in &spec.vertex_reads {
+                    ops.push(WaveOp::read(
+                        chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+                    ));
+                }
+                // CSR offsets (two loads in real code: off[v] and
+                // off[v+1]; they share lines, one read models both).
+                ops.push(WaveOp::read(
+                    chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+                ));
+                self.rounds = chunk
+                    .iter()
+                    .map(|&v| g.degree(v))
+                    .max()
+                    .unwrap_or(0)
+                    .min(spec.max_rounds);
+                self.next = if self.rounds > 0 {
+                    Step::Round(0)
+                } else {
+                    Step::Tail
+                };
+                return true;
+            }
+            Step::Round(r) => r,
+            Step::Tail => {
+                for arr in &spec.vertex_writes {
+                    ops.push(WaveOp::write(
+                        chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+                    ));
+                }
+                ops.push(WaveOp::compute(4));
+                return false;
+            }
+        };
+        // `rounds` is at most the chunk's largest degree, so every
+        // round has at least one lane.
+        self.edges.clear();
+        self.neighbors.clear();
         for &v in chunk {
-            if r < g.degree(v) {
-                let e = g.offsets[v as usize] as u64 + r as u64;
-                tgt_addrs.push(spec.targets.addr(e));
-                edge_idx.push(e);
-                neighbors.push(g.targets[e as usize]);
+            if round < g.degree(v) {
+                let e = g.offsets[v as usize] as u64 + round as u64;
+                self.edges.push(e);
+                self.neighbors.push(g.targets[e as usize]);
             }
         }
-        if tgt_addrs.is_empty() {
-            break;
-        }
-        ops.push(WaveOp::read(tgt_addrs));
+        self.next = if round + 1 < self.rounds {
+            Step::Round(round + 1)
+        } else {
+            Step::Tail
+        };
+        ops.push(WaveOp::read(
+            self.edges.iter().map(|&e| spec.targets.addr(e)).collect(),
+        ));
         for es in &spec.edge_streams {
-            ops.push(WaveOp::read(edge_idx.iter().map(|&e| es.addr(e)).collect()));
+            ops.push(WaveOp::read(
+                self.edges.iter().map(|&e| es.addr(e)).collect(),
+            ));
         }
         for ga in &spec.gather {
             ops.push(WaveOp::read(
-                neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
+                self.neighbors.iter().map(|&t| ga.addr(t as u64)).collect(),
             ));
         }
         if let Some((arr, flags)) = &spec.scatter {
-            let writes: Vec<VAddr> = neighbors
+            let writes: Vec<VAddr> = self
+                .neighbors
                 .iter()
                 .filter(|&&t| flags[t as usize])
                 .map(|&t| arr.addr(t as u64))
@@ -150,17 +207,11 @@ pub fn gather_wave(spec: &GatherSpec, chunk: &[u32]) -> Vec<WaveOp> {
                 ops.push(WaveOp::write(writes));
             }
         }
-        if spec.compute_every > 0 && (r + 1) % spec.compute_every == 0 {
+        if spec.compute_every > 0 && (round + 1) % spec.compute_every == 0 {
             ops.push(WaveOp::compute(8));
         }
+        true
     }
-    for arr in &spec.vertex_writes {
-        ops.push(WaveOp::write(
-            chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-        ));
-    }
-    ops.push(WaveOp::compute(4));
-    ops
 }
 
 /// A deterministic per-element hash for data-dependent write
@@ -187,6 +238,14 @@ mod tests {
         let targets = DevArray::alloc(&mut os, pid, graph.edges(), 4);
         let spec = GatherSpec::new(graph, offsets, targets);
         (os, spec)
+    }
+
+    /// Every op of the gather wave over `chunk`, all steps in order.
+    fn gather_wave(spec: &GatherSpec, chunk: &[u32]) -> Vec<WaveOp> {
+        let mut wave = GatherWave::new(Arc::new((spec.clone(), chunk.to_vec())), 0);
+        let mut ops = Vec::new();
+        while wave.step(&mut ops) {}
+        ops
     }
 
     /// Every op of every wave, in wave order.
@@ -255,6 +314,70 @@ mod tests {
         };
         assert!(writes(true) > 0);
         assert_eq!(writes(false), 0);
+    }
+
+    #[test]
+    fn a_wave_builds_one_round_at_a_time() {
+        let mut os = OsLite::new(64 << 20);
+        let pid = os.create_process();
+        let graph = Graph::power_law_shared(1024, 8, 9);
+        let offsets = DevArray::alloc(&mut os, pid, graph.n as u64 + 1, 4);
+        let targets = DevArray::alloc(&mut os, pid, graph.edges(), 4);
+        let n = graph.n as u64;
+        let mut spec = GatherSpec::new(Arc::clone(&graph), offsets, targets);
+        spec.vertex_reads.push(DevArray::alloc(&mut os, pid, n, 4));
+        spec.vertex_writes.push(DevArray::alloc(&mut os, pid, n, 4));
+        spec.gather.push(DevArray::alloc(&mut os, pid, n, 8));
+        spec.edge_streams
+            .push(DevArray::alloc(&mut os, pid, graph.edges(), 4));
+        let flags: Arc<[bool]> = (0..n).map(|t| t % 3 == 0).collect();
+        spec.scatter = Some((DevArray::alloc(&mut os, pid, n, 4), flags));
+        spec.max_rounds = 16;
+        // Vertex 0 is the biggest hub.
+        let chunk: Vec<u32> = (0..LANES).collect();
+        assert!(graph.degree(0) >= spec.max_rounds);
+        let mut wave = GatherWave::new(Arc::new((spec.clone(), chunk.clone())), 0);
+        let mut steps = Vec::new();
+        loop {
+            let mut ops = Vec::new();
+            let more = wave.step(&mut ops);
+            steps.push(ops);
+            if !more {
+                break;
+            }
+        }
+        let rounds = spec.max_rounds as usize;
+        assert_eq!(
+            steps.len(),
+            1 + rounds + 1,
+            "head, one step per round, tail"
+        );
+        // The head: the vertex read and the offsets read.
+        assert_eq!(steps[0].len(), 2);
+        // Each round: targets, edge stream, gather, at most a scatter
+        // write and a compute op, and nothing of the next round.
+        for (r, round) in steps[1..=rounds].iter().enumerate() {
+            assert!((3..=5).contains(&round.len()), "round {r}: {round:?}");
+            let reads = round
+                .iter()
+                .filter(|o| matches!(o, WaveOp::Read(_)))
+                .count();
+            assert_eq!(reads, 3, "round {r} reads once per array");
+        }
+        // The tail: the vertex write and the final compute op.
+        assert_eq!(
+            steps[rounds + 1],
+            [
+                WaveOp::write(
+                    chunk
+                        .iter()
+                        .map(|&v| spec.vertex_writes[0].addr(v as u64))
+                        .collect()
+                ),
+                WaveOp::compute(4)
+            ]
+        );
+        assert_eq!(steps.concat(), gather_wave(&spec, &chunk));
     }
 
     #[test]

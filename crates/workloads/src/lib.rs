@@ -13,8 +13,11 @@
 //! scratchpad staging, and data-dependent reuse — that the original
 //! kernel would issue. A kernel records only each wave's inputs (its
 //! vertex ids or tile coordinate, plus shared handles to the arrays and
-//! host state); the wave builds its op list when the simulator first
-//! issues it (`gvc_gpu::KernelBuilder::deferred_wave`).
+//! host state), and the wave builds its ops one step at a time as the
+//! simulator issues them (`gvc_gpu::KernelBuilder::stepped_wave`): a
+//! graph wave its head reads, then one edge round per step, then its
+//! tail; a dense or Rodinia wave (at most 18 ops) its whole list in one
+//! step. So no wave holds more than one step's ops.
 //!
 //! Workload classes (the paper's grouping):
 //!

@@ -22,11 +22,11 @@ struct Net {
 }
 
 impl Net {
-    /// The wave over input units `u0..u0 + 32`, in the forward or the
-    /// backward pass.
-    fn wave_ops(&self, u0: u64, backward: bool) -> Vec<WaveOp> {
+    /// Appends the wave over input units `u0..u0 + 32`, in the forward
+    /// or the backward pass.
+    fn wave_ops(&self, ops: &mut Vec<WaveOp>, u0: u64, backward: bool) {
         let units: Vec<u64> = (u0..(u0 + 32).min(self.n)).collect();
-        let mut ops = vec![
+        ops.extend([
             // Input activations: coalesced.
             WaveOp::read(units.iter().map(|&u| self.input.addr(u)).collect()),
             // Weight rows: each lane reads its unit's 64 B row.
@@ -39,7 +39,7 @@ impl Net {
             WaveOp::compute(HIDDEN as u32 * 2),
             // Hidden-layer accumulation (hot line).
             WaveOp::read((0..HIDDEN / 8).map(|h| self.hidden.addr(h * 8)).collect()),
-        ];
+        ]);
         if backward {
             // Weight update writes the row back.
             ops.push(WaveOp::write(
@@ -51,7 +51,6 @@ impl Net {
         } else {
             ops.push(WaveOp::write(vec![self.hidden.addr(0)]));
         }
-        ops
     }
 }
 
@@ -80,7 +79,10 @@ impl KernelSource for BackpropSource {
         let mut b = Kernel::builder(name, self.asid);
         for u0 in (0..self.net.n).step_by(32) {
             let net = Arc::clone(&self.net);
-            b = b.deferred_wave(move || net.wave_ops(u0, backward));
+            b = b.stepped_wave(move |ops| {
+                net.wave_ops(ops, u0, backward);
+                false
+            });
         }
         Some(b.build())
     }

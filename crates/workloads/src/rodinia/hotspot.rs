@@ -27,19 +27,19 @@ impl Grid {
             .collect()
     }
 
-    /// The stencil wave at row `r`, columns `c0..c0 + 32`: reads
-    /// `temp[src]` and the power map, writes the other temperature
-    /// array.
-    fn wave_ops(&self, src: usize, r: u64, c0: u64) -> Vec<WaveOp> {
+    /// Appends the stencil wave at row `r`, columns `c0..c0 + 32`:
+    /// reads `temp[src]` and the power map, writes the other
+    /// temperature array.
+    fn wave_ops(&self, ops: &mut Vec<WaveOp>, src: usize, r: u64, c0: u64) {
         let (from, to) = (&self.temp[src], &self.temp[1 - src]);
-        vec![
+        ops.extend([
             WaveOp::read(self.row(from, r - 1, c0)),
             WaveOp::read(self.row(from, r, c0)),
             WaveOp::read(self.row(from, r + 1, c0)),
             WaveOp::read(self.row(&self.power, r, c0)),
             WaveOp::compute(24),
             WaveOp::write(self.row(to, r, c0)),
-        ]
+        ]);
     }
 }
 
@@ -66,7 +66,10 @@ impl KernelSource for HotspotSource {
         for r in 1..dim - 1 {
             for c0 in (0..dim).step_by(32) {
                 let grid = Arc::clone(&self.grid);
-                b = b.deferred_wave(move || grid.wave_ops(src, r, c0));
+                b = b.stepped_wave(move |ops| {
+                    grid.wave_ops(ops, src, r, c0);
+                    false
+                });
             }
         }
         Some(b.build())

@@ -25,10 +25,10 @@ struct Data {
 }
 
 impl Data {
-    /// The wave that assigns points `p0..p0 + 32`.
-    fn wave_ops(&self, p0: u64) -> Vec<WaveOp> {
+    /// Appends the wave that assigns points `p0..p0 + 32`.
+    fn wave_ops(&self, ops: &mut Vec<WaveOp>, p0: u64) {
         let pts: Vec<u64> = (p0..(p0 + 32).min(self.n)).collect();
-        vec![
+        ops.extend([
             // Each lane streams its point's 64 B feature block.
             WaveOp::read(
                 pts.iter()
@@ -45,7 +45,7 @@ impl Data {
             // parallel across points.
             WaveOp::compute((CENTROIDS * FEATURES) as u32),
             WaveOp::write(pts.iter().map(|&p| self.assignment.addr(p)).collect()),
-        ]
+        ]);
     }
 }
 
@@ -68,7 +68,10 @@ impl KernelSource for KmeansSource {
         let mut b = Kernel::builder(format!("kmeans_iter{}", self.iter), self.asid);
         for p0 in (0..self.data.n).step_by(32) {
             let data = Arc::clone(&self.data);
-            b = b.deferred_wave(move || data.wave_ops(p0));
+            b = b.stepped_wave(move |ops| {
+                data.wave_ops(ops, p0);
+                false
+            });
         }
         Some(b.build())
     }

@@ -25,7 +25,8 @@ struct NwSource {
 }
 
 impl NwSource {
-    fn tile_ops(&self, tr: u64, tc: u64) -> Vec<WaveOp> {
+    /// Appends the ops of the wave for tile `(tr, tc)`.
+    fn tile_ops(&self, ops: &mut Vec<WaveOp>, tr: u64, tc: u64) {
         let r0 = tr * TILE;
         let c0 = tc * TILE;
         let top: Vec<VAddr> = (c0..c0 + TILE)
@@ -40,14 +41,14 @@ impl NwSource {
         let out: Vec<VAddr> = (r0..r0 + TILE)
             .map(|r| self.score.addr(r * self.n + c0))
             .collect();
-        vec![
+        ops.extend([
             WaveOp::read(top),
             WaveOp::read(left),
             WaveOp::read(refr),
             WaveOp::scratch((TILE * TILE) as u32),
             WaveOp::compute((TILE * TILE / 4) as u32),
             WaveOp::write(out),
-        ]
+        ]);
     }
 }
 
@@ -69,7 +70,10 @@ impl KernelSource for NwSource {
                 // The wave copies the source: two array handles, a
                 // size and a counter it does not read.
                 let nw = *self;
-                b = b.deferred_wave(move || nw.tile_ops(tr, d - tr));
+                b = b.stepped_wave(move |ops| {
+                    nw.tile_ops(ops, tr, d - tr);
+                    false
+                });
             }
         }
         Some(b.build())

@@ -39,17 +39,17 @@ impl KernelSource for PathfinderSource {
         let (grid, result, cols) = (self.grid, self.result, self.cols);
         let mut b = Kernel::builder(format!("pathfinder_block{}", self.next_block), self.asid);
         for c0 in (0..cols).step_by(COLS_PER_WAVE as usize) {
-            b = b.deferred_wave(move || {
+            b = b.stepped_wave(move |ops| {
                 let span = (c0..(c0 + COLS_PER_WAVE).min(cols)).step_by(32);
                 let seg: Vec<VAddr> = span.clone().map(|c| grid.addr(r0 * cols + c)).collect();
                 let out: Vec<VAddr> = span.map(|c| result.addr(c)).collect();
-                let mut ops = vec![WaveOp::read(seg)];
+                ops.push(WaveOp::read(seg));
                 for _ in 0..ROWS_PER_BLOCK {
                     ops.push(WaveOp::scratch(COLS_PER_WAVE as u32 / 8));
                     ops.push(WaveOp::compute(16));
                 }
                 ops.push(WaveOp::write(out));
-                ops
+                false
             });
         }
         Some(b.build())
