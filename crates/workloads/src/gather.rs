@@ -66,7 +66,7 @@ impl GatherSpec {
 }
 
 /// One gather kernel over the `active` vertices, 32 per wave. The
-/// waves share `spec` and `active`; each is a [`GatherWave`] that the
+/// waves share `spec` and `active`; each is a `GatherWave` that the
 /// simulator steps through as it issues the wave's ops.
 pub fn gather_kernel(
     name: impl Into<String>,
@@ -83,24 +83,14 @@ pub fn gather_kernel(
     b.build()
 }
 
-/// Where a [`GatherWave`] is in its op list.
-#[derive(Clone, Copy)]
-enum Step {
-    /// The per-vertex metadata and CSR offsets reads.
-    Head,
-    /// Edge round `r`.
-    Round(u32),
-    /// The per-vertex writes and the final compute op.
-    Tail,
-}
-
 /// One gather wave over the (at most 32) active vertices
 /// `active[start..]`, built one step at a time: the head reads, then
 /// one step per edge round, then the tail.
 struct GatherWave {
     shared: Arc<(GatherSpec, Vec<u32>)>,
     start: usize,
-    next: Step,
+    /// The next edge round; `None` before the head step.
+    next_round: Option<u32>,
     /// Edge rounds: the chunk's largest degree, capped at
     /// [`GatherSpec::max_rounds`]. Set by the head step.
     rounds: u32,
@@ -116,7 +106,7 @@ impl GatherWave {
         GatherWave {
             shared,
             start,
-            next: Step::Head,
+            next_round: None,
             rounds: 0,
             edges: Vec::new(),
             neighbors: Vec::new(),
@@ -130,43 +120,36 @@ impl GatherWave {
         let end = (self.start + LANES as usize).min(active.len());
         let chunk = &active[self.start..end];
         let g = &spec.graph;
-        let round = match self.next {
-            Step::Head => {
-                // Per-vertex metadata reads.
-                for arr in &spec.vertex_reads {
-                    ops.push(WaveOp::read(
-                        chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-                    ));
-                }
-                // CSR offsets (two loads in real code: off[v] and
-                // off[v+1]; they share lines, one read models both).
+        let Some(round) = self.next_round else {
+            // Per-vertex metadata reads.
+            for arr in &spec.vertex_reads {
                 ops.push(WaveOp::read(
-                    chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+                    chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
                 ));
-                self.rounds = chunk
-                    .iter()
-                    .map(|&v| g.degree(v))
-                    .max()
-                    .unwrap_or(0)
-                    .min(spec.max_rounds);
-                self.next = if self.rounds > 0 {
-                    Step::Round(0)
-                } else {
-                    Step::Tail
-                };
-                return true;
             }
-            Step::Round(r) => r,
-            Step::Tail => {
-                for arr in &spec.vertex_writes {
-                    ops.push(WaveOp::write(
-                        chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
-                    ));
-                }
-                ops.push(WaveOp::compute(4));
-                return false;
-            }
+            // CSR offsets (two loads in real code: off[v] and off[v+1];
+            // they share lines, one read models both).
+            ops.push(WaveOp::read(
+                chunk.iter().map(|&v| spec.offsets.addr(v as u64)).collect(),
+            ));
+            self.rounds = chunk
+                .iter()
+                .map(|&v| g.degree(v))
+                .max()
+                .unwrap_or(0)
+                .min(spec.max_rounds);
+            self.next_round = Some(0);
+            return true;
         };
+        if round == self.rounds {
+            for arr in &spec.vertex_writes {
+                ops.push(WaveOp::write(
+                    chunk.iter().map(|&v| arr.addr(v as u64)).collect(),
+                ));
+            }
+            ops.push(WaveOp::compute(4));
+            return false;
+        }
         // `rounds` is at most the chunk's largest degree, so every
         // round has at least one lane.
         self.edges.clear();
@@ -178,11 +161,6 @@ impl GatherWave {
                 self.neighbors.push(g.targets[e as usize]);
             }
         }
-        self.next = if round + 1 < self.rounds {
-            Step::Round(round + 1)
-        } else {
-            Step::Tail
-        };
         ops.push(WaveOp::read(
             self.edges.iter().map(|&e| spec.targets.addr(e)).collect(),
         ));
@@ -210,6 +188,7 @@ impl GatherWave {
         if spec.compute_every > 0 && (round + 1) % spec.compute_every == 0 {
             ops.push(WaveOp::compute(8));
         }
+        self.next_round = Some(round + 1);
         true
     }
 }
